@@ -14,6 +14,7 @@
 //	walfault -online     # sweep crashes through an online migration instead
 //	walfault -shards N   # sweep crashes through a cross-shard migration
 //	                     # over an N-shard workspace instead
+//	walfault -snapshot   # sweep damage through a compaction snapshot instead
 //
 // With -trials the sweep runs a deterministic random subset: the full
 // candidate list is shuffled by -seed and the first N are run, so a bounded
@@ -21,7 +22,8 @@
 // reproduces exactly from the same -seed/-trials/-ops triple.
 //
 // Output ends with "all recovered" and the total of replayed records; the
-// CI crash-recovery smoke job greps for both.
+// CI crash-recovery smoke job greps for both. The -snapshot mode instead
+// ends with "no damaged snapshot misread".
 package main
 
 import (
@@ -105,6 +107,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed selecting which trials a bounded run picks")
 	online := flag.Bool("online", false, "sweep crashes through an online batched migration with foreground traffic")
 	shards := flag.Int("shards", 0, "sweep crashes through a cross-shard migration over this many shards (0 = off)")
+	snapshot := flag.Bool("snapshot", false, "sweep torn writes and bit flips through a compaction snapshot")
 	flag.Parse()
 
 	work := *dir
@@ -123,6 +126,10 @@ func main() {
 	}
 	if *shards > 0 {
 		runShards(work, *shards, *maxTrials, *seed)
+		return
+	}
+	if *snapshot {
+		runSnapshot(work, *nOps, *maxTrials, *seed)
 		return
 	}
 
@@ -196,28 +203,7 @@ func main() {
 // at off), recovers it, and checks the result against the prefix set. It
 // returns the number of records recovery replayed.
 func runTrial(work, pristine, seg string, data []byte, off int, truncate bool, prefixes map[string]int) int {
-	kind := "flip"
-	if truncate {
-		kind = "torn"
-	}
-	trial := filepath.Join(work, "trial")
-	if err := os.RemoveAll(trial); err != nil {
-		fatal("%v", err)
-	}
-	if err := os.CopyFS(trial, os.DirFS(pristine)); err != nil {
-		fatal("clone: %v", err)
-	}
-	damaged := data
-	if truncate {
-		damaged = data[:off]
-	} else {
-		damaged = append([]byte(nil), data...)
-		damaged[off] ^= 0xFF
-	}
-	if err := os.WriteFile(filepath.Join(trial, seg), damaged, 0o644); err != nil {
-		fatal("%v", err)
-	}
-
+	trial, kind := damagedCopy(work, pristine, seg, data, off, truncate)
 	l, db, err := wal.Open(trial, wal.Options{SegmentMaxBytes: 1024, CompactAfterBytes: -1})
 	if err != nil {
 		fatal("%s@%s+%d: recovery failed: %v", kind, seg, off, err)
@@ -234,6 +220,29 @@ func runTrial(work, pristine, seg string, data []byte, off int, truncate bool, p
 		fatal("%s@%s+%d: close: %v", kind, seg, off, err)
 	}
 	return n
+}
+
+// damagedCopy clones the pristine log directory into work/trial with file
+// (whose pristine contents are data) truncated at off, or with the byte at
+// off flipped. It returns the copy and the kind of damage, "torn" or
+// "flip".
+func damagedCopy(work, pristine, file string, data []byte, off int, truncate bool) (dir, kind string) {
+	dir = filepath.Join(work, "trial")
+	if err := os.RemoveAll(dir); err != nil {
+		fatal("%v", err)
+	}
+	if err := os.CopyFS(dir, os.DirFS(pristine)); err != nil {
+		fatal("clone: %v", err)
+	}
+	kind, damaged := "torn", data[:off]
+	if !truncate {
+		kind, damaged = "flip", append([]byte(nil), data...)
+		damaged[off] ^= 0xFF
+	}
+	if err := os.WriteFile(filepath.Join(dir, file), damaged, 0o644); err != nil {
+		fatal("%v", err)
+	}
+	return dir, kind
 }
 
 // segmentFiles lists the wal segment files of a log directory in order.

@@ -4,15 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
-// Snapshot / Restore give the in-memory store durability: the full database
-// serialises to a typed JSON document and loads back losslessly. Plain
+// Snapshot / Restore serialise the full database to a typed JSON document
+// and load it back losslessly: the interchange format of SaveState and
+// LoadState, and the canonical bytes state hashes are taken over. Plain
 // encoding/json cannot round-trip the value universe (int64 vs float64, ID
-// vs int, Optional), so every value carries a type tag.
+// vs int, Optional), so every value carries a type tag. The write-ahead log
+// persists the store in the binary codec (codec.go) instead.
 
-// snapshotFile is the on-disk layout.
+// snapshotFile is the JSON document layout.
 type snapshotFile struct {
 	Version     int                       `json:"version"`
 	NextID      int64                     `json:"nextId"`
@@ -129,19 +131,31 @@ func decodeValue(tv taggedValue) (Value, error) {
 	return nil, fmt.Errorf("store: unknown value tag %q", tv.T)
 }
 
-// Snapshot writes the whole database as JSON. Collections are written in
-// sorted order so snapshots are deterministic. The snapshot is a consistent
-// point-in-time cut: every collection lock is acquired before any data is
-// read, so a concurrent writer's mutations are either all visible or all
-// absent relative to the mutations that happened before them.
-func (db *DB) Snapshot(w io.Writer) error { return db.SnapshotCut(w, nil) }
-
-// SnapshotCut is Snapshot with a hook invoked at the cut point, while every
-// lock is held and no writer can sit between applying a mutation and
-// logging it. The WAL uses the hook to rotate segments exactly at the
-// snapshot boundary during compaction.
-func (db *DB) SnapshotCut(w io.Writer, cut func()) error {
-	file, err := db.capture(cut)
+// Snapshot writes the whole database as JSON, the interchange and hashing
+// form (SaveState, StateHash). Collections are written in sorted order so
+// snapshots are deterministic, and the JSON is taken at a consistent cut
+// (see ReadCut).
+func (db *DB) Snapshot(w io.Writer) error {
+	file := &snapshotFile{Version: 1, Collections: map[string]collectionSnap{}}
+	err := db.ReadCut(nil, func(nextID int64, colls []CutView) error {
+		file.NextID = nextID
+		for _, c := range colls {
+			snap := collectionSnap{Indexes: c.Indexes(), Docs: make(map[string]docSnap, c.Len())}
+			err := c.Each(func(id ID, d Doc) error {
+				ds, err := tagDoc(d)
+				if err != nil {
+					return fmt.Errorf("collection %s doc %v: %w", c.Name(), id, err)
+				}
+				snap.Docs[fmt.Sprint(int64(id))] = ds
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			file.Collections[c.Name()] = snap
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
@@ -150,64 +164,76 @@ func (db *DB) SnapshotCut(w io.Writer, cut func()) error {
 	return enc.Encode(file)
 }
 
-// capture encodes the database under a full lock set: the DB lock plus
-// every collection lock, acquired in sorted name order before any document
-// is read. Encoding deep-copies values into JSON bytes, so the result is
-// immune to mutations after release.
-func (db *DB) capture(cut func()) (*snapshotFile, error) {
+// CutView is one collection as seen at a ReadCut. It is valid only inside
+// the ReadCut callback; the documents it yields must not be retained or
+// mutated.
+type CutView struct{ c *Collection }
+
+// Name returns the collection name.
+func (v CutView) Name() string { return v.c.name }
+
+// Len returns the number of documents at the cut.
+func (v CutView) Len() int { return len(v.c.docs) }
+
+// Indexes lists the indexed fields in sorted order.
+func (v CutView) Indexes() []string {
+	var out []string
+	for f := range v.c.indexes {
+		out = append(out, f)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Each calls fn with every document in ascending id order, stopping at the
+// first error.
+func (v CutView) Each(fn func(id ID, d Doc) error) error {
+	ids := make([]ID, 0, len(v.c.docs))
+	for id := range v.c.docs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if err := fn(id, v.c.docs[id]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadCut reads the database at a consistent point-in-time cut: the DB
+// lock and every collection lock are acquired, in sorted name order, before
+// any document is read, and held until read returns. A concurrent writer's
+// mutations are therefore all visible or all absent relative to the ones
+// before them. cut, when non-nil, runs at the cut point, while no writer
+// can sit between applying a mutation and logging it; the WAL uses it to
+// rotate segments exactly at a compaction boundary. read receives the id
+// allocator's position and the collections in sorted name order.
+func (db *DB) ReadCut(cut func(), read func(nextID int64, colls []CutView) error) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	names := make([]string, 0, len(db.colls))
 	for n := range db.colls {
 		names = append(names, n)
 	}
-	sort.Strings(names)
-	colls := make([]*Collection, len(names))
+	slices.Sort(names)
+	views := make([]CutView, len(names))
 	for i, n := range names {
-		colls[i] = db.colls[n]
-		colls[i].mu.RLock()
-		defer colls[i].mu.RUnlock()
+		c := db.colls[n]
+		c.mu.RLock()
+		defer c.mu.RUnlock()
+		views[i] = CutView{c}
 	}
-
 	if cut != nil {
 		cut()
 	}
-
-	file := &snapshotFile{
-		Version:     1,
-		NextID:      db.nextID.Load(),
-		Collections: map[string]collectionSnap{},
-	}
-	for i, c := range colls {
-		snap := collectionSnap{Docs: map[string]docSnap{}}
-		for f := range c.indexes {
-			snap.Indexes = append(snap.Indexes, f)
-		}
-		sort.Strings(snap.Indexes)
-		for id, d := range c.docs {
-			ds := docSnap{}
-			for k, v := range d {
-				if k == "id" {
-					continue // implicit in the key
-				}
-				tv, err := encodeValue(v)
-				if err != nil {
-					return nil, fmt.Errorf("collection %s doc %v field %s: %w", names[i], id, k, err)
-				}
-				ds[k] = tv
-			}
-			snap.Docs[fmt.Sprint(int64(id))] = ds
-		}
-		file.Collections[names[i]] = snap
-	}
-	return file, nil
+	return read(db.nextID.Load(), views)
 }
 
-// MarshalDoc encodes a document with the same typed tagging Snapshot uses,
-// skipping the "id" field (it travels beside the document). The WAL logs
-// documents in this form.
-func MarshalDoc(d Doc) ([]byte, error) {
-	ds := docSnap{}
+// tagDoc renders a document in the JSON snapshot's typed tagging, without
+// its "id" field.
+func tagDoc(d Doc) (docSnap, error) {
+	ds := make(docSnap, len(d))
 	for k, v := range d {
 		if k == "id" {
 			continue
@@ -218,24 +244,19 @@ func MarshalDoc(d Doc) ([]byte, error) {
 		}
 		ds[k] = tv
 	}
-	return json.Marshal(ds)
+	return ds, nil
 }
 
-// UnmarshalDoc decodes a MarshalDoc payload.
-func UnmarshalDoc(b []byte) (Doc, error) {
-	var ds docSnap
-	if err := json.Unmarshal(b, &ds); err != nil {
+// MarshalDoc encodes a document with the same typed tagging Snapshot uses,
+// skipping the "id" field. It is the per-document input to the collection
+// and shard state hashes (encoding/json sorts the keys, so it is
+// deterministic).
+func MarshalDoc(d Doc) ([]byte, error) {
+	ds, err := tagDoc(d)
+	if err != nil {
 		return nil, err
 	}
-	doc := Doc{}
-	for k, tv := range ds {
-		v, err := decodeValue(tv)
-		if err != nil {
-			return nil, fmt.Errorf("field %s: %w", k, err)
-		}
-		doc[k] = v
-	}
-	return doc, nil
+	return json.Marshal(ds)
 }
 
 // Restore loads a snapshot into a fresh database.

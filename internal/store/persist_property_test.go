@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -104,62 +103,69 @@ func TestSnapshotRestoreProperty(t *testing.T) {
 	}
 }
 
-// TestMarshalDocRoundTrip checks the WAL's per-document codec over the
-// same universe.
+// TestMarshalDocRoundTrip round-trips documents through the durable
+// binary codec and checks the result with MarshalDoc, the per-document
+// input of the state hashes: recovery must never change a hash.
 func TestMarshalDocRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
 		doc := randDoc(r)
-		b, err := MarshalDoc(doc)
+		want, err := MarshalDoc(doc)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
-		back, err := UnmarshalDoc(b)
+		enc, err := AppendDoc(nil, doc)
 		if err != nil {
-			t.Fatalf("unmarshal: %v", err)
+			t.Fatalf("encode: %v", err)
 		}
-		b2, err := MarshalDoc(back)
+		back, err := DecodeDoc(enc)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		got, err := MarshalDoc(back)
 		if err != nil {
 			t.Fatalf("re-marshal: %v", err)
 		}
-		// JSON object key order is deterministic (sorted by encoding/json),
-		// so byte equality is the round-trip check here too.
-		if !bytes.Equal(b, b2) {
-			t.Fatalf("doc codec not stable: %s vs %s", b, b2)
+		if !bytes.Equal(want, got) {
+			t.Fatalf("doc changed across the binary codec: %s vs %s", want, got)
 		}
 	}
 }
 
-// TestSnapshotConsistentCut runs writers that keep an invariant across two
-// collections (equal counters inserted into both) while snapshots are
-// taken concurrently. Every restored snapshot must satisfy the invariant:
-// the cut never splits a writer's pair of mutations across collections it
-// already locked... i.e. Snapshot sees a point-in-time state.
+// TestSnapshotConsistentCut races a writer that keeps an invariant across
+// two collections (equal counters inserted into both) against snapshots.
+// Every restored snapshot must satisfy the invariant: the cut never splits
+// a writer's pair of mutations across collections it already locked, i.e.
+// Snapshot sees a point-in-time state. The writer works in bounded rounds:
+// each round it is released, inserts a fixed number of pairs while the
+// snapshot runs, and reports back, so the test terminates by construction.
 func TestSnapshotConsistentCut(t *testing.T) {
 	db := Open()
+	const rounds, pairsPerRound = 30, 200
 	a, b := db.Collection("a"), db.Collection("b")
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-
-	// Writer: appends i to a, then i to b. Invariant for any consistent
-	// cut: len(a) >= len(b) and the common prefix matches.
-	wg.Add(1)
+	start, done := make(chan struct{}), make(chan struct{})
+	defer close(start)
 	go func() {
-		defer wg.Done()
-		for i := int64(0); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+		seq := int64(0)
+		for range start {
+			// Appends seq to a, then seq to b. Invariant for any
+			// consistent cut: len(a) >= len(b) and the common prefix
+			// matches.
+			for i := 0; i < pairsPerRound; i++ {
+				a.Insert(Doc{"seq": seq})
+				b.Insert(Doc{"seq": seq})
+				seq++
 			}
-			a.Insert(Doc{"seq": i})
-			b.Insert(Doc{"seq": i})
+			done <- struct{}{}
 		}
 	}()
 
-	for round := 0; round < 30; round++ {
+	for round := 0; round < rounds; round++ {
+		start <- struct{}{}
 		var buf bytes.Buffer
-		if err := db.Snapshot(&buf); err != nil {
+		err := db.Snapshot(&buf)
+		<-done
+		if err != nil {
 			t.Fatalf("snapshot: %v", err)
 		}
 		cut, err := Restore(bytes.NewReader(buf.Bytes()))
@@ -176,6 +182,4 @@ func TestSnapshotConsistentCut(t *testing.T) {
 			t.Fatalf("cut split the writer stream: a=%d b=%d", na, nb)
 		}
 	}
-	close(stop)
-	wg.Wait()
 }

@@ -308,16 +308,22 @@ func (c *Collection) Insert(doc Doc) ID {
 // InsertWithID stores a copy of doc under an explicit id; it fails if the
 // id is taken.
 func (c *Collection) InsertWithID(id ID, doc Doc) error {
-	cp := doc.Clone()
-	cp["id"] = id
+	return c.Adopt(id, doc.Clone())
+}
+
+// Adopt is InsertWithID without the defensive copy: the collection takes
+// ownership of doc, which the caller must not touch afterwards. Recovery
+// uses it for documents it has just decoded.
+func (c *Collection) Adopt(id ID, doc Doc) error {
+	doc["id"] = id
 	c.mu.Lock()
 	if _, exists := c.docs[id]; exists {
 		c.mu.Unlock()
 		return fmt.Errorf("store: id %v already exists in %s", id, c.name)
 	}
-	c.docs[id] = cp
-	c.indexAdd(id, cp)
-	wait := c.db.logMutation(Mutation{Op: MutInsert, Coll: c.name, ID: id, Doc: cp})
+	c.docs[id] = doc
+	c.indexAdd(id, doc)
+	wait := c.db.logMutation(Mutation{Op: MutInsert, Coll: c.name, ID: id, Doc: doc})
 	c.mu.Unlock()
 	c.db.finish(wait)
 	return c.db.DurabilityErr()

@@ -5,34 +5,54 @@ import (
 	"hash/crc32"
 )
 
-// Exported record framing, shared with the persistent verdict store
-// (internal/verify). The verdict store is a different file format (its own
-// magic header, its own payload schema) but deliberately reuses the WAL's
-// frame layout — [4B little-endian payload length][4B CRC32C(payload)]
-// [payload] — so both sides share one torn-tail discipline and one checksum
-// convention.
+// Record framing, shared by every file format in the durable layer: WAL
+// segments, compaction snapshots, and the persistent verdict store
+// (internal/verify). Each format has its own magic header and payload
+// schema, but all frame their records as
+//
+//	[4B little-endian payload length][4B CRC32C(payload)][payload]
+//
+// so they share one torn-tail discipline and one checksum convention.
+// sealFrame is the only writer of a frame header and ScanFrames the only
+// validator of one (the live-tail reader peeks at lengths only to size its
+// reads, then validates through ParseFrame).
 
-// FrameOverhead is the number of framing bytes preceding each payload.
-const FrameOverhead = frameSize
+const (
+	frameSize    = 8
+	maxRecordLen = 64 << 20 // sanity bound on a single record
+)
 
-// EncodeFrame wraps payload in the record frame: length, CRC32C, then the
-// payload bytes.
-func EncodeFrame(payload []byte) []byte {
-	out := make([]byte, frameSize+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, castagnoli))
-	copy(out[frameSize:], payload)
-	return out
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// openFrame reserves a frame header at the end of dst; append the payload
+// after it and close the frame with sealFrame.
+func openFrame(dst []byte) []byte {
+	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// sealFrame fills in the header of the frame opened at offset start, whose
+// payload runs to the end of buf.
+func sealFrame(buf []byte, start int) []byte {
+	payload := buf[start+frameSize:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
+	return buf
+}
+
+// AppendFrame appends payload to dst as one framed record.
+func AppendFrame(dst, payload []byte) []byte {
+	start := len(dst)
+	return sealFrame(append(openFrame(dst), payload...), start)
 }
 
 // ScanFrames walks framed records in buf starting at offset start, calling
-// fn with each well-formed payload. It returns the byte offset just past
-// the last well-formed frame and whether the whole buffer was consumed. A
-// frame that is short, whose length is implausible, or whose checksum fails
-// marks the torn tail: scanning stops there (clean=false) without an error
-// or a panic, and the caller truncates at good — the same recovery
-// discipline parseSegment applies to WAL segments.
-func ScanFrames(buf []byte, start int64, fn func(payload []byte)) (good int64, clean bool) {
+// fn with each well-formed payload until fn returns false. It returns the
+// byte offset just past the last accepted frame and whether the whole
+// buffer was consumed. A frame that is short, whose length is implausible,
+// whose checksum fails, or whose payload fn rejects marks the torn tail:
+// scanning stops there (clean=false) without an error or a panic, and the
+// caller truncates at good or refuses the file.
+func ScanFrames(buf []byte, start int64, fn func(payload []byte) bool) (good int64, clean bool) {
 	off := start
 	for {
 		rest := buf[off:]
@@ -50,7 +70,9 @@ func ScanFrames(buf []byte, start int64, fn func(payload []byte)) (good int64, c
 		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:8]) {
 			return off, false
 		}
-		fn(payload)
+		if !fn(payload) {
+			return off, false
+		}
 		off += frameSize + n
 	}
 }

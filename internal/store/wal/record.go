@@ -2,111 +2,117 @@ package wal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 
 	"scooter/internal/store"
 )
 
 // On-disk layout. Each segment starts with a 16-byte header:
 //
-//	[8B magic "SCWAL001"][8B little-endian segment index]
+//	[8B magic "SCWAL002"][8B little-endian segment index]
 //
-// followed by framed records:
+// followed by framed records (frame.go). A record payload is a fixed-order
+// binary layout:
 //
-//	[4B little-endian payload length][4B CRC32C(payload)][payload]
+//	uvarint LSN, op byte, uvarint-length collection, zigzag varint id,
+//	uvarint-length field, uvarint checkpoint boundary, [document]
 //
-// The payload is a JSON record (typed-tagged document values, shared with
-// the snapshot codec). A record whose frame is short, whose length is
-// implausible, or whose checksum fails marks the torn tail: recovery
-// truncates there and replays nothing after it.
+// where the document (store.AppendDoc) is present exactly for inserts and
+// updates. A record whose frame is short, whose length is implausible,
+// whose checksum fails, or whose payload does not decode marks the torn
+// tail: recovery truncates there and replays nothing after it.
 
 const (
-	segMagic     = "SCWAL001"
-	headerSize   = 16
-	frameSize    = 8
-	maxRecordLen = 64 << 20 // sanity bound on a single record
+	segMagic   = "SCWAL002"
+	headerSize = 16
+	// segMagicV1 marked segments of JSON records; Open refuses them.
+	segMagicV1 = "SCWAL001"
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Record op codes, kept short because they appear in every payload.
+// Record op codes.
 const (
-	opInsert     = "ins"
-	opUpdate     = "upd"
-	opDelete     = "del"
-	opRemField   = "rmf"
-	opCreateColl = "mkc"
-	opDropColl   = "drc"
-	opIndex      = "idx"
-	opCheckpoint = "ckp"
+	opInsert byte = iota + 1
+	opUpdate
+	opDelete
+	opRemField
+	opCreateColl
+	opDropColl
+	opIndex
+	opCheckpoint
 )
 
-// record is the JSON payload of one WAL entry. LSNs are assigned
-// contiguously, so recovery can detect a gap (dropped record) as
-// corruption.
+// mutationOps maps store mutation kinds to record op codes.
+var mutationOps = map[store.MutationOp]byte{
+	store.MutInsert:           opInsert,
+	store.MutUpdate:           opUpdate,
+	store.MutDelete:           opDelete,
+	store.MutRemoveField:      opRemField,
+	store.MutCreateCollection: opCreateColl,
+	store.MutDropCollection:   opDropColl,
+	store.MutCreateIndex:      opIndex,
+}
+
+// record is one decoded WAL entry. LSNs are assigned contiguously, so
+// recovery can detect a gap (dropped record) as corruption.
 type record struct {
-	LSN   uint64          `json:"l"`
-	Op    string          `json:"o"`
-	Coll  string          `json:"c,omitempty"`
-	ID    int64           `json:"i,omitempty"`
-	Doc   json.RawMessage `json:"d,omitempty"`
-	Field string          `json:"f,omitempty"`
+	LSN   uint64
+	Op    byte
+	Coll  string
+	ID    int64
+	Field string
 	// Snap marks a checkpoint: a snapshot covering every record before
 	// this one exists under the segment index Snap.
-	Snap uint64 `json:"s,omitempty"`
+	Snap uint64
+	Doc  store.Doc
 }
+
+// hasDoc reports whether records with op carry a document.
+func hasDoc(op byte) bool { return op == opInsert || op == opUpdate }
 
 // encodeMutation renders a store mutation as a framed record. It runs
 // synchronously inside Durability.Append (under the collection lock), so
 // the Doc may alias caller memory.
 func encodeMutation(lsn uint64, m store.Mutation) ([]byte, error) {
-	rec := record{LSN: lsn, Coll: m.Coll, ID: int64(m.ID), Field: m.Field}
-	switch m.Op {
-	case store.MutInsert:
-		rec.Op = opInsert
-	case store.MutUpdate:
-		rec.Op = opUpdate
-	case store.MutDelete:
-		rec.Op = opDelete
-	case store.MutRemoveField:
-		rec.Op = opRemField
-	case store.MutCreateCollection:
-		rec.Op = opCreateColl
-	case store.MutDropCollection:
-		rec.Op = opDropColl
-	case store.MutCreateIndex:
-		rec.Op = opIndex
-	default:
+	op, ok := mutationOps[m.Op]
+	if !ok {
 		return nil, fmt.Errorf("wal: unknown mutation op %d", m.Op)
 	}
-	if m.Op == store.MutInsert || m.Op == store.MutUpdate {
-		doc, err := store.MarshalDoc(m.Doc)
-		if err != nil {
+	buf := openFrame(make([]byte, 0, 64+len(m.Coll)+len(m.Field)+16*len(m.Doc)))
+	buf = appendRecordHead(buf, lsn, op, m.Coll, int64(m.ID), m.Field, 0)
+	if hasDoc(op) {
+		var err error
+		if buf, err = store.AppendDoc(buf, m.Doc); err != nil {
 			return nil, fmt.Errorf("wal: encoding %s/%v: %w", m.Coll, m.ID, err)
 		}
-		rec.Doc = doc
 	}
-	return frameRecord(rec)
+	return sealFrame(buf, 0), nil
 }
 
 // encodeCheckpoint renders a checkpoint record for a compaction boundary.
-func encodeCheckpoint(lsn, boundary uint64) ([]byte, error) {
-	return frameRecord(record{LSN: lsn, Op: opCheckpoint, Snap: boundary})
+func encodeCheckpoint(lsn, boundary uint64) []byte {
+	return sealFrame(appendRecordHead(openFrame(nil), lsn, opCheckpoint, "", 0, "", boundary), 0)
 }
 
-// frameRecord wraps a record payload in the length+CRC frame.
-func frameRecord(rec record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
+func appendRecordHead(dst []byte, lsn uint64, op byte, coll string, id int64, field string, snap uint64) []byte {
+	dst = append(binary.AppendUvarint(dst, lsn), op)
+	dst = binary.AppendVarint(store.AppendString(dst, coll), id)
+	return binary.AppendUvarint(store.AppendString(dst, field), snap)
+}
+
+// decodeRecord parses one record payload, document included.
+func decodeRecord(p []byte) (record, error) {
+	r := store.NewReader(p)
+	rec := record{LSN: r.Uvarint(), Op: r.Byte(), Coll: r.Str(), ID: r.Varint(), Field: r.Str(), Snap: r.Uvarint()}
+	if hasDoc(rec.Op) {
+		rec.Doc = r.Doc()
 	}
-	out := make([]byte, frameSize+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, castagnoli))
-	copy(out[frameSize:], payload)
-	return out, nil
+	if err := r.End(); err != nil {
+		return record{}, err
+	}
+	if rec.Op < opInsert || rec.Op > opCheckpoint {
+		return record{}, fmt.Errorf("wal: unknown op %d", rec.Op)
+	}
+	return rec, nil
 }
 
 // segmentHeader renders the 16-byte header of a segment file.
@@ -122,13 +128,12 @@ func segmentHeader(seg uint64) []byte {
 // and learn its LSN before mirroring the bytes into its own log, then apply
 // the record to its store without re-decoding.
 type ParsedFrame struct {
-	lsn  uint64
 	data []byte
 	rec  record
 }
 
 // LSN returns the record's log sequence number.
-func (p *ParsedFrame) LSN() uint64 { return p.lsn }
+func (p *ParsedFrame) LSN() uint64 { return p.rec.LSN }
 
 // Data returns the frame bytes exactly as framed on disk and on the wire.
 func (p *ParsedFrame) Data() []byte { return p.data }
@@ -137,30 +142,29 @@ func (p *ParsedFrame) Data() []byte { return p.data }
 // boundary marker that mutates nothing).
 func (p *ParsedFrame) IsCheckpoint() bool { return p.rec.Op == opCheckpoint }
 
-// Apply replays the record into db. The database must have no durability
-// hook attached when the caller mirrors frames itself.
+// Apply replays the record into db, handing it the decoded document; call
+// it at most once. The database must have no durability hook attached when
+// the caller mirrors frames itself.
 func (p *ParsedFrame) Apply(db *store.DB) error { return applyRecord(db, p.rec) }
 
 // ParseFrame validates one framed record — length, checksum, payload — and
 // returns its decoded form. It rejects trailing bytes: a frame is exactly
 // one record.
 func ParseFrame(frame []byte) (*ParsedFrame, error) {
-	if len(frame) < frameSize {
-		return nil, fmt.Errorf("wal: frame shorter than its header (%d bytes)", len(frame))
+	var payload []byte
+	frames := 0
+	if _, clean := ScanFrames(frame, 0, func(p []byte) bool {
+		payload = p
+		frames++
+		return frames == 1
+	}); !clean || frames != 1 {
+		return nil, fmt.Errorf("wal: %d-byte buffer is not exactly one well-formed frame", len(frame))
 	}
-	n := int64(binary.LittleEndian.Uint32(frame[0:4]))
-	if n > maxRecordLen || frameSize+n != int64(len(frame)) {
-		return nil, fmt.Errorf("wal: frame length %d does not match payload (%d bytes)", n, len(frame)-frameSize)
-	}
-	payload := frame[frameSize:]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[4:8]) {
-		return nil, fmt.Errorf("wal: frame checksum mismatch")
-	}
-	var rec record
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	rec, err := decodeRecord(payload)
+	if err != nil {
 		return nil, fmt.Errorf("wal: frame payload: %w", err)
 	}
-	return &ParsedFrame{lsn: rec.LSN, data: frame, rec: rec}, nil
+	return &ParsedFrame{data: frame, rec: rec}, nil
 }
 
 // segScan is the result of parsing one segment file.
@@ -175,41 +179,25 @@ type segScan struct {
 }
 
 // parseSegment reads the records of one segment from buf (the whole file).
-// A record whose frame is short, whose length is implausible, whose
-// checksum fails, or whose payload does not parse marks the torn tail:
-// everything before it is returned and ok is false. Recovery truncates at
-// good and never fails or panics on a torn tail.
+// Everything before the torn tail (see ScanFrames; a payload that does not
+// decode is torn too) is returned, with ok false when there is a tail.
+// Recovery truncates at good and never fails or panics on a torn tail.
 func parseSegment(buf []byte, seg uint64) segScan {
 	if len(buf) < headerSize || string(buf[:8]) != segMagic ||
 		binary.LittleEndian.Uint64(buf[8:16]) != seg {
 		return segScan{}
 	}
-	s := segScan{good: headerSize, headerOK: true}
-	off := int64(headerSize)
-	for {
-		rest := buf[off:]
-		if len(rest) == 0 {
-			s.ok = true
-			return s
+	s := segScan{headerOK: true}
+	end := int64(headerSize)
+	s.good, s.ok = ScanFrames(buf, headerSize, func(payload []byte) bool {
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return false
 		}
-		if len(rest) < frameSize {
-			return s
-		}
-		n := int64(binary.LittleEndian.Uint32(rest[0:4]))
-		if n > maxRecordLen || frameSize+n > int64(len(rest)) {
-			return s
-		}
-		payload := rest[frameSize : frameSize+n]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:8]) {
-			return s
-		}
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return s
-		}
-		off += frameSize + n
+		end += frameSize + int64(len(payload))
 		s.recs = append(s.recs, rec)
-		s.ends = append(s.ends, off)
-		s.good = off
-	}
+		s.ends = append(s.ends, end)
+		return true
+	})
+	return s
 }

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,6 +27,9 @@ func Open(dir string, opts Options) (*Log, *store.DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
+	if err := prepareDir(dir); err != nil {
+		return nil, nil, err
+	}
 	segs, snaps, err := scanDir(dir)
 	if err != nil {
 		return nil, nil, err
@@ -32,8 +37,8 @@ func Open(dir string, opts Options) (*Log, *store.DB, error) {
 
 	// Restore the newest snapshot, if any. Snapshots are written atomically
 	// (tmp + fsync + rename), so a present snapshot is complete; one that
-	// fails to parse is real damage and recovery stops rather than silently
-	// reviving older state.
+	// fails any check is real damage and recovery stops rather than
+	// silently reviving older state.
 	var boundary uint64
 	var db *store.DB
 	if len(snaps) > 0 {
@@ -42,13 +47,11 @@ func Open(dir string, opts Options) (*Log, *store.DB, error) {
 				boundary = idx
 			}
 		}
-		f, err := os.Open(filepath.Join(dir, snaps[boundary]))
+		data, err := os.ReadFile(filepath.Join(dir, snaps[boundary]))
 		if err != nil {
 			return nil, nil, err
 		}
-		db, err = store.Restore(f)
-		f.Close()
-		if err != nil {
+		if db, err = decodeSnapshot(data); err != nil {
 			return nil, nil, fmt.Errorf("wal: snapshot %s: %w", snaps[boundary], err)
 		}
 	} else {
@@ -207,26 +210,19 @@ func recStart(s segScan, i int) int64 {
 	return s.ends[i-1]
 }
 
-// applyRecord replays one WAL record into the store. The store has no
-// durability attached during replay, so nothing is re-logged.
+// applyRecord replays one WAL record into the store, handing it the
+// record's decoded document. The store has no durability attached during
+// replay, so nothing is re-logged.
 func applyRecord(db *store.DB, rec record) error {
 	switch rec.Op {
 	case opInsert:
-		doc, err := store.UnmarshalDoc(rec.Doc)
-		if err != nil {
-			return err
-		}
-		if err := db.Collection(rec.Coll).InsertWithID(store.ID(rec.ID), doc); err != nil {
+		if err := db.Collection(rec.Coll).Adopt(store.ID(rec.ID), rec.Doc); err != nil {
 			return err
 		}
 		db.AdvanceNextID(store.ID(rec.ID))
 		return nil
 	case opUpdate:
-		doc, err := store.UnmarshalDoc(rec.Doc)
-		if err != nil {
-			return err
-		}
-		return db.Collection(rec.Coll).Update(store.ID(rec.ID), doc)
+		return db.Collection(rec.Coll).Update(store.ID(rec.ID), rec.Doc)
 	case opDelete:
 		if !db.Collection(rec.Coll).Delete(store.ID(rec.ID)) {
 			return fmt.Errorf("wal: delete of missing %s/%d", rec.Coll, rec.ID)
@@ -247,7 +243,7 @@ func applyRecord(db *store.DB, rec record) error {
 	case opCheckpoint:
 		return nil // boundary marker; the snapshot choice already used it
 	default:
-		return fmt.Errorf("wal: unknown op %q", rec.Op)
+		return fmt.Errorf("wal: unknown op %d", rec.Op)
 	}
 }
 
@@ -268,8 +264,63 @@ func truncateSegment(path string, off int64) error {
 	return f.Close()
 }
 
-// scanDir lists segment and snapshot files by index. Leftover temp files
-// from an interrupted snapshot write are removed.
+// ErrFormat reports a log directory written in an on-disk format this
+// version does not read. Open returns it, as a *FormatError naming the
+// file, before touching anything in the directory.
+var ErrFormat = errors.New("wal: unsupported on-disk format")
+
+// FormatError names the file that made Open refuse a directory.
+type FormatError struct {
+	File   string
+	Reason string
+}
+
+func (e *FormatError) Error() string { return fmt.Sprintf("wal: %s: %s", e.File, e.Reason) }
+
+// Unwrap makes errors.Is(err, ErrFormat) hold.
+func (e *FormatError) Unwrap() error { return ErrFormat }
+
+// prepareDir readies dir for recovery. It first refuses, with a
+// *FormatError and without touching anything, a directory holding a file
+// of the older on-disk layout: a JSON snapshot, or a segment whose header
+// carries the JSON-record magic. This version's decoders would read such a
+// file as damage and truncate it away. Otherwise it deletes the leftover
+// temp files of an interrupted snapshot write.
+func prepareDir(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	var temps []string
+	for _, e := range entries {
+		name := e.Name()
+		switch {
+		case strings.HasSuffix(name, ".tmp"):
+			temps = append(temps, name)
+		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".json"):
+			return &FormatError{File: name, Reason: "JSON snapshot written by an older version"}
+		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
+			f, err := os.Open(filepath.Join(dir, name))
+			if err != nil {
+				return err
+			}
+			var magic [len(segMagicV1)]byte
+			_, err = io.ReadFull(f, magic[:])
+			f.Close()
+			if err == nil && string(magic[:]) == segMagicV1 {
+				return &FormatError{File: name, Reason: "segment of JSON records written by an older version"}
+			}
+		}
+	}
+	for _, name := range temps {
+		os.Remove(filepath.Join(dir, name))
+	}
+	return nil
+}
+
+// scanDir lists segment and snapshot files by index. It only reads the
+// directory: a compaction may be writing its snapshot's temp file
+// meanwhile.
 func scanDir(dir string) (segs, snaps map[uint64]string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -279,16 +330,12 @@ func scanDir(dir string) (segs, snaps map[uint64]string, err error) {
 	snaps = map[uint64]string{}
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
 		var idx uint64
 		if n, _ := fmt.Sscanf(name, "wal-%d.log", &idx); n == 1 && name == segName(idx) {
 			segs[idx] = name
 			continue
 		}
-		if n, _ := fmt.Sscanf(name, "snap-%d.json", &idx); n == 1 && name == snapName(idx) {
+		if n, _ := fmt.Sscanf(name, "snap-%d.bin", &idx); n == 1 && name == snapName(idx) {
 			snaps[idx] = name
 		}
 	}

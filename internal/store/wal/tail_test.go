@@ -170,7 +170,7 @@ func TestTailFromCompactedLSNAndBootstrap(t *testing.T) {
 		t.Fatalf("empty bootstrap: lsn=%d snap=%d bytes", snapLSN, len(snap))
 	}
 	// The snapshot state plus the streamed records must equal the primary.
-	restored, err := store.Restore(bytes.NewReader(snap))
+	restored, err := decodeSnapshot(snap)
 	if err != nil {
 		t.Fatalf("restore bootstrap snapshot: %v", err)
 	}

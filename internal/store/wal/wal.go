@@ -13,7 +13,6 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -519,12 +518,7 @@ func (l *Log) processMarker(m *rotateMarker) {
 		return
 	}
 	l.liveBytes = 0
-	frame, err := encodeCheckpoint(m.lsn, seg)
-	if err != nil {
-		l.fail(err)
-		return
-	}
-	l.buf = append(l.buf, frame...)
+	l.buf = append(l.buf, encodeCheckpoint(m.lsn, seg)...)
 	l.bufLSN = m.lsn
 	l.unsyncedRecs++
 	l.flush()
@@ -634,8 +628,7 @@ func (l *Log) Compact() error {
 
 	marker := &rotateMarker{done: make(chan struct{})}
 	enqueued := false
-	var snap bytes.Buffer
-	err := l.db.SnapshotCut(&snap, func() {
+	snap, err := encodeSnapshot(l.db, func() {
 		l.mu.Lock()
 		if !l.closed {
 			l.lastLSN++
@@ -666,38 +659,12 @@ func (l *Log) Compact() error {
 			return err
 		}
 	}
-	if err := writeSnapshot(l.dir, marker.seg, snap.Bytes()); err != nil {
+	if err := writeSnapshot(l.dir, marker.seg, snap); err != nil {
 		return err
 	}
 	pruneBelow(l.dir, marker.seg)
 	l.opts.Metrics.RecordCompaction()
 	return nil
-}
-
-// writeSnapshot persists a snapshot atomically: write to a temp file,
-// fsync, rename into place, fsync the directory.
-func writeSnapshot(dir string, boundary uint64, data []byte) error {
-	final := filepath.Join(dir, snapName(boundary))
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return err
-	}
-	return syncDir(dir)
 }
 
 // pruneBelow removes segments and snapshots older than the boundary.
@@ -717,7 +684,7 @@ func pruneBelow(dir string, boundary uint64) {
 }
 
 func segName(i uint64) string  { return fmt.Sprintf("wal-%08d.log", i) }
-func snapName(i uint64) string { return fmt.Sprintf("snap-%08d.json", i) }
+func snapName(i uint64) string { return fmt.Sprintf("snap-%08d.bin", i) }
 
 // SegmentName returns the file name of segment i, for tools and tests that
 // inspect a log directory.

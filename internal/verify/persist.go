@@ -18,7 +18,7 @@ import (
 // counterexample — a warm replay reproduces cold output byte for byte.
 //
 // The file format is an 8-byte magic header followed by append-only records
-// in the WAL's frame layout ([len][crc32c][payload], wal.EncodeFrame). A
+// in the WAL's frame layout ([len][crc32c][payload], wal.AppendFrame). A
 // torn tail — the footprint of a crash mid-append — is truncated away on
 // open, and a CRC-valid record whose payload fails to decode is skipped and
 // counted, never fatal: a damaged cache degrades to a cold start, it does
@@ -285,16 +285,17 @@ func OpenVerdictDB(path string) (*VerdictDB, error) {
 		}
 		return d, nil
 	}
-	good, clean := wal.ScanFrames(buf, int64(len(verdictMagic)), func(payload []byte) {
+	good, clean := wal.ScanFrames(buf, int64(len(verdictMagic)), func(payload []byte) bool {
 		key, res, derr := decodeRecord(payload)
 		if derr != nil {
 			// The frame survived its checksum but the payload is not a
 			// record we understand (version skew, bit rot inside a valid
 			// CRC). Skip it; later records are still framed correctly.
 			d.corrupt++
-			return
+			return true
 		}
 		d.m[key] = res
+		return true
 	})
 	if !clean {
 		// Crash mid-append: drop the torn tail so the next append starts on
@@ -362,7 +363,7 @@ func (d *VerdictDB) Put(key CacheKey, res Result) {
 		}
 		return
 	}
-	if _, err := d.f.Write(wal.EncodeFrame(payload)); err != nil && d.writeErr == nil {
+	if _, err := d.f.Write(wal.AppendFrame(nil, payload)); err != nil && d.writeErr == nil {
 		d.writeErr = err
 	}
 }
