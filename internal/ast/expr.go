@@ -3,6 +3,7 @@ package ast
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"scooter/internal/token"
 )
@@ -18,17 +19,22 @@ type Expr interface {
 	// SetType records the checked type.
 	SetType(Type)
 	fmt.Stringer
+	node() *exprBase
 }
 
 type exprBase struct {
 	pos token.Pos
 	typ Type
+	// refs memoizes the node's reference sets (see refsOf). It lives and
+	// dies with the node.
+	refs atomic.Pointer[refSets]
 }
 
-func (b *exprBase) exprNode()      {}
-func (b *exprBase) Pos() token.Pos { return b.pos }
-func (b *exprBase) Type() Type     { return b.typ }
-func (b *exprBase) SetType(t Type) { b.typ = t }
+func (b *exprBase) exprNode()       {}
+func (b *exprBase) node() *exprBase { return b }
+func (b *exprBase) Pos() token.Pos  { return b.pos }
+func (b *exprBase) Type() Type      { return b.typ }
+func (b *exprBase) SetType(t Type)  { b.typ = t }
 
 // Base returns an exprBase at pos, for constructing nodes.
 func base(pos token.Pos) exprBase { return exprBase{pos: pos} }

@@ -1,7 +1,5 @@
 package ast
 
-import "sync"
-
 // Walk calls fn on e and every sub-expression of e in pre-order. If fn
 // returns false, the children of the current node are skipped.
 func Walk(e Expr, fn func(Expr) bool) {
@@ -64,17 +62,16 @@ type refSets struct {
 	fields map[FieldRef]bool
 }
 
-// refCache memoizes ReferencedModels/ReferencedFields per expression node.
-// Policy ASTs are immutable once type-checked, and the migration engine
-// consults these sets for every policy in the schema on each structural
-// check, so each set is computed once per node and then shared. Entries
-// live for the process lifetime, bounded by the number of distinct policy
-// expressions.
-var refCache sync.Map // Expr -> *refSets
-
+// refsOf returns e's reference sets, computing them on first use. Policy
+// ASTs are immutable once type-checked, and the migration engine consults
+// these sets for every policy in the schema on each structural check, so
+// each set is computed once per node and then shared. The memo is stored on
+// the node itself, so it is freed with the AST: re-parsing the same text
+// builds new nodes and leaves nothing behind.
 func refsOf(e Expr) *refSets {
-	if v, ok := refCache.Load(e); ok {
-		return v.(*refSets)
+	memo := &e.node().refs
+	if r := memo.Load(); r != nil {
+		return r
 	}
 	r := &refSets{models: map[string]bool{}, fields: map[FieldRef]bool{}}
 	Walk(e, func(e Expr) bool {
@@ -94,8 +91,10 @@ func refsOf(e Expr) *refSets {
 		}
 		return true
 	})
-	v, _ := refCache.LoadOrStore(e, r)
-	return v.(*refSets)
+	if !memo.CompareAndSwap(nil, r) {
+		return memo.Load()
+	}
+	return r
 }
 
 // ReferencedModels returns the names of models referenced by the expression

@@ -81,7 +81,7 @@ func collectionDocs(db *store.DB, name string) []store.Doc {
 	if !ok {
 		return nil
 	}
-	return c.Find() // id-sorted clones
+	return c.Find() // id-sorted, shared with the store: read-only
 }
 
 func diffDocs(collection string, da, db store.Doc) *divergence {

@@ -126,8 +126,8 @@ type Options struct {
 
 // DefaultBatchSize is the online backfill batch size when
 // Options.BatchSize is zero: large enough to amortise the per-batch
-// journal checkpoint, small enough that a foreground operation waiting on
-// a collection lock waits for at most one batch of clones.
+// durability wait and journal checkpoint, small enough that a resumed
+// backfill redoes little work.
 const DefaultBatchSize = 256
 
 // DefaultOptions returns the standard configuration.

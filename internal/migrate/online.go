@@ -108,15 +108,14 @@ func backfillAddField(cur *schema.Schema, db *store.DB, c *ast.AddField, nowUnix
 	swept := 0
 	watermark := after
 	for {
-		// FindAfter bounds the read-lock hold to one batch of clones, so a
-		// foreground writer queued behind it waits for at most one batch —
-		// unlike the stop-the-world path, which clones the whole collection
-		// under one lock hold.
 		docs := coll.FindAfter(watermark, batch)
 		if len(docs) == 0 {
 			return nil
 		}
 		populated, skipped := 0, 0
+		// The batch's updates are logged one by one but awaited together,
+		// so a batch costs about one fsync instead of one per document.
+		waits := make([]store.WaitFunc, 0, len(docs))
 		for _, doc := range docs {
 			watermark = doc.ID()
 			if _, present := doc[c.Field.Name]; present {
@@ -129,15 +128,16 @@ func backfillAddField(cur *schema.Schema, db *store.DB, c *ast.AddField, nowUnix
 			if err != nil {
 				return err
 			}
-			wrote, err := coll.UpdateIfAbsent(doc.ID(), c.Field.Name, v)
-			if err != nil {
-				return err
-			}
+			wrote, wait := coll.UpdateIfAbsent(doc.ID(), c.Field.Name, v)
 			if wrote {
 				populated++
+				waits = append(waits, wait)
 			} else {
 				skipped++
 			}
+		}
+		if err := db.Await(waits...); err != nil {
+			return err
 		}
 		swept += len(docs)
 		if opts.Rate > 0 {
@@ -147,7 +147,8 @@ func backfillAddField(cur *schema.Schema, db *store.DB, c *ast.AddField, nowUnix
 			}
 		}
 		// The watermark checkpoint is logged after the batch's own updates,
-		// so a recovered watermark never claims unswept documents.
+		// and only once they are durable, so a recovered watermark never
+		// claims unswept documents.
 		if err := checkpoint(watermark); err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"scooter/internal/store"
@@ -247,5 +248,80 @@ func TestJournalBeginRevalidates(t *testing.T) {
 	seedChitter(t, db)
 	if _, _, err := Apply(db, s, "001_bio", applyScript, applyOpts()); !errors.As(err, &corrupt) {
 		t.Fatalf("Apply over corrupt journal: %v", err)
+	}
+}
+
+// groupCommitLog is a store.Durability that models a group-committing
+// log: a wait on a record that is not yet durable syncs every record
+// appended so far, in one sync.
+type groupCommitLog struct {
+	mu       sync.Mutex
+	appended int
+	synced   int
+	syncs    int
+	// onAppend sees each mutation with the log's state before it.
+	onAppend func(m store.Mutation, appended, synced int)
+}
+
+func (l *groupCommitLog) Append(m store.Mutation) store.WaitFunc {
+	l.mu.Lock()
+	if l.onAppend != nil {
+		l.onAppend(m, l.appended, l.synced)
+	}
+	l.appended++
+	lsn := l.appended
+	l.mu.Unlock()
+	return func() error {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if l.synced < lsn {
+			l.synced = l.appended
+			l.syncs++
+		}
+		return nil
+	}
+}
+
+// TestOnlineBackfillAwaitsOncePerBatch checks the online backfill's
+// durability protocol: a batch's updates are awaited together, so the
+// backfill costs about one sync per batch rather than one per document,
+// and every journal checkpoint is logged only once everything before it,
+// the batch's updates included, is durable.
+func TestOnlineBackfillAwaitsOncePerBatch(t *testing.T) {
+	s := loadSchema(t, chitterBase)
+	db := store.Open()
+	const docs, batch = 600, 100
+	seedMany(t, db, docs)
+	log := &groupCommitLog{}
+	var userUpdates, checkpoints int
+	log.onAppend = func(m store.Mutation, appended, synced int) {
+		switch {
+		case m.Coll == "User" && m.Op == store.MutUpdate:
+			userUpdates++
+		case m.Coll == JournalCollection:
+			checkpoints++
+			if synced != appended {
+				t.Errorf("journal record logged with %d earlier records not yet durable", appended-synced)
+			}
+		}
+	}
+	db.SetDurability(log)
+	opts := applyOpts()
+	opts.Online = true
+	opts.BatchSize = batch
+	if _, applied, err := Apply(db, s, "001_bio", applyScript, opts); err != nil || !applied {
+		t.Fatalf("online apply: applied=%v err=%v", applied, err)
+	}
+	if userUpdates != 2*docs {
+		t.Fatalf("backfill logged %d user updates, want %d", userUpdates, 2*docs)
+	}
+	if checkpoints < 2*docs/batch {
+		t.Fatalf("only %d journal records for %d batches", checkpoints, 2*docs/batch)
+	}
+	// Two AddFields of 6 batches each: one sync per batch, plus one per
+	// journal, schema and collection record.
+	t.Logf("%d syncs, %d journal records, %d backfilled documents", log.syncs, checkpoints, userUpdates)
+	if perDoc := float64(log.syncs) / float64(userUpdates); perDoc > 0.05 {
+		t.Fatalf("%d syncs for %d backfilled documents (%.3f per document)", log.syncs, userUpdates, perDoc)
 	}
 }

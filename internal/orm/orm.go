@@ -174,26 +174,31 @@ func (c *Conn) ClearLazyMigration(model string) {
 	c.state.Store(&connState{schema: old.schema, ev: old.ev, policies: old.policies, lazy: lazy})
 }
 
-// augment lazily migrates a private document copy that predates the
-// in-flight backfill, returning whether it derived the field. The store is
-// NOT written — reads stay side-effect-free; persistence is the writer's
-// job (Update merges the derived value into its own record, and the sweep
-// catches documents no write touches). doc must be the caller's own clone
-// (Get and Find return clones), since it is modified in place.
-func (st *connState) augment(model string, doc store.Doc) (bool, error) {
+// augment lazily migrates a document that predates the in-flight
+// backfill: it returns a copy of doc carrying the derived field, and
+// whether it derived one (doc itself is returned unchanged otherwise). The
+// store is NOT written — reads stay side-effect-free; persistence is the
+// writer's job (Update merges the derived value into its own record, and
+// the sweep catches documents no write touches). doc is a shared stored
+// document, so the field is added to a copy, never to doc.
+func (st *connState) augment(model string, doc store.Doc) (store.Doc, bool, error) {
 	lf, ok := st.lazy[model]
 	if !ok {
-		return false, nil
+		return doc, false, nil
 	}
 	if _, present := doc[lf.field]; present {
-		return false, nil
+		return doc, false, nil
 	}
 	v, err := lf.compute(doc)
 	if err != nil {
-		return false, fmt.Errorf("orm: lazily migrating %s.%s: %w", model, lf.field, err)
+		return nil, false, fmt.Errorf("orm: lazily migrating %s.%s: %w", model, lf.field, err)
 	}
-	doc[lf.field] = v
-	return true, nil
+	out := make(store.Doc, len(doc)+1)
+	for k, val := range doc {
+		out[k] = val
+	}
+	out[lf.field] = v
+	return out, true, nil
 }
 
 // allowed dispatches one policy decision: the compiled closure when
@@ -269,22 +274,92 @@ func (e *PolicyError) Error() string {
 }
 
 // Object is a partial model instance: fields the principal may not read
-// are absent (paper §3.3 "Handling Overly Sensitive Fields").
+// are absent (paper §3.3 "Handling Overly Sensitive Fields"). It shares
+// the stored document instead of copying it, and hands out copies of
+// values on access, so application code never reaches store memory.
 type Object struct {
 	Model string
 	ID    store.ID
-	// fields holds only readable values.
-	fields store.Doc
+	// doc is the stored (or lazily augmented) document; it is shared and
+	// never modified.
+	doc store.Doc
+	// fields are the model's declared fields, and readable marks by
+	// position the ones the principal may read. With enforcement off,
+	// fields is nil and every field of doc is readable.
+	fields   []*schema.Field
+	readable fieldMask
 }
 
-// Get returns a field value and whether the principal could read it.
-func (o *Object) Get(field string) (store.Value, bool) {
-	v, ok := o.fields[field]
+// fieldMask is a set of field positions: the first 64 inline, the rest of
+// a larger model in spill.
+type fieldMask struct {
+	lo    uint64
+	spill []uint64
+}
+
+func (m *fieldMask) set(i int) {
+	if i < 64 {
+		m.lo |= 1 << i
+		return
+	}
+	w := i/64 - 1
+	for len(m.spill) <= w {
+		m.spill = append(m.spill, 0)
+	}
+	m.spill[w] |= 1 << (i % 64)
+}
+
+func (m *fieldMask) has(i int) bool {
+	if i < 64 {
+		return m.lo&(1<<i) != 0
+	}
+	w := i/64 - 1
+	return w < len(m.spill) && m.spill[w]&(1<<(i%64)) != 0
+}
+
+// value returns the stored value of a readable field without copying it.
+// A field the document lacks is absent, never a present nil.
+func (o *Object) value(field string) (store.Value, bool) {
+	if o.fields != nil {
+		i := 0
+		for i < len(o.fields) && o.fields[i].Name != field {
+			i++
+		}
+		if i == len(o.fields) || !o.readable.has(i) {
+			return nil, false
+		}
+	}
+	v, ok := o.doc[field]
 	return v, ok
 }
 
-// Fields returns the readable fields (do not modify).
-func (o *Object) Fields() store.Doc { return o.fields }
+// Get returns a copy of a field value and whether the principal could read
+// it. A field the stored document lacks is reported absent.
+func (o *Object) Get(field string) (store.Value, bool) {
+	v, ok := o.value(field)
+	if !ok {
+		return nil, false
+	}
+	return store.CloneValue(v), true
+}
+
+// Fields returns a fresh document holding copies of the readable fields
+// the stored document carries; the caller may modify it.
+func (o *Object) Fields() store.Doc {
+	if o.fields == nil {
+		return o.doc.Clone()
+	}
+	out := make(store.Doc, len(o.fields))
+	for i, f := range o.fields {
+		if !o.readable.has(i) {
+			continue
+		}
+		if v, ok := o.doc[f.Name]; ok {
+			out[f.Name] = store.CloneValue(v)
+		}
+	}
+	return out
+}
 
 // FindByID fetches one instance, stripping unreadable fields. A missing
 // document returns (nil, nil): absence and denial are indistinguishable to
@@ -299,7 +374,7 @@ func (pr *Princ) FindByID(model string, id store.ID) (*Object, error) {
 	if !ok {
 		return nil, nil
 	}
-	lazied, err := st.augment(model, doc)
+	doc, lazied, err := st.augment(model, doc)
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +411,7 @@ func (pr *Princ) Find(model string, filters ...store.Filter) ([]*Object, error) 
 	docs := pr.conn.DB.Collection(model).Find(storeFilters...)
 	out := make([]*Object, 0, len(docs))
 	for _, doc := range docs {
-		lazied, err := st.augment(model, doc)
+		doc, lazied, err := st.augment(model, doc)
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +432,7 @@ func (pr *Princ) Find(model string, filters ...store.Filter) ([]*Object, error) 
 			if f.Field == schema.IDFieldName {
 				continue
 			}
-			if _, ok := obj.Get(f.Field); !ok {
+			if _, ok := obj.value(f.Field); !ok {
 				visible = false
 				break
 			}
@@ -369,13 +444,13 @@ func (pr *Princ) Find(model string, filters ...store.Filter) ([]*Object, error) 
 	return out, nil
 }
 
-// strip applies read policies, producing a partial object.
+// strip applies read policies, producing a partial object over doc.
 func (pr *Princ) strip(st *connState, m *schema.Model, doc store.Doc) (*Object, error) {
-	obj := &Object{Model: m.Name, ID: doc.ID(), fields: store.Doc{}}
+	obj := &Object{Model: m.Name, ID: doc.ID(), doc: doc}
 	if !pr.conn.enforcement {
-		obj.fields = doc
 		return obj, nil
 	}
+	obj.fields = m.Fields
 	mp := st.policies.Model(m.Name)
 	var frame *policyc.Frame
 	if !pr.conn.interpret && mp != nil {
@@ -394,7 +469,7 @@ func (pr *Princ) strip(st *connState, m *schema.Model, doc store.Doc) (*Object, 
 		}
 		pr.conn.metrics.RecordReadCheck(!ok)
 		if ok {
-			obj.fields[f.Name] = doc[f.Name]
+			obj.readable.set(i)
 		}
 	}
 	return obj, nil
@@ -508,7 +583,7 @@ func (pr *Princ) Update(model string, id store.ID, fields store.Doc) error {
 		return fmt.Errorf("orm: no %s with id %v", model, id)
 	}
 	// Policy decisions are made against the post-migration shape.
-	lazied, err := st.augment(model, doc)
+	doc, lazied, err := st.augment(model, doc)
 	if err != nil {
 		return err
 	}
@@ -568,7 +643,8 @@ func (pr *Princ) Delete(model string, id store.ID) error {
 	}
 	// The delete policy, too, judges the post-migration shape; nothing is
 	// persisted for a document that is about to disappear.
-	if _, err := st.augment(model, doc); err != nil {
+	doc, _, err := st.augment(model, doc)
+	if err != nil {
 		return err
 	}
 	if pr.conn.enforcement {

@@ -38,30 +38,57 @@ func None() Optional { return Optional{} }
 
 // Doc is a single document: field name to value. The "id" field is
 // maintained by the store.
+//
+// A document is immutable once it is stored: Get, Find and FindAfter hand
+// out the stored map itself, shared by every reader, and writers never
+// change a stored map in place but build a new one and swap it in. A Doc
+// obtained from a read is therefore read-only, and it keeps the values it
+// had when it was read.
 type Doc map[string]Value
 
 // Clone returns a deep copy of the document.
 func (d Doc) Clone() Doc {
 	out := make(Doc, len(d))
 	for k, v := range d {
-		out[k] = cloneValue(v)
+		out[k] = CloneValue(v)
 	}
 	return out
 }
 
-func cloneValue(v Value) Value {
+// CloneValue returns a deep copy of a field value: sets and optionals are
+// copied, scalars are returned as they are. Code that hands a stored value
+// to a caller allowed to modify it copies it with CloneValue first.
+func CloneValue(v Value) Value {
 	switch x := v.(type) {
 	case []Value:
 		out := make([]Value, len(x))
 		for i, e := range x {
-			out[i] = cloneValue(e)
+			out[i] = CloneValue(e)
 		}
 		return out
 	case Optional:
-		return Optional{Present: x.Present, Value: cloneValue(x.Value)}
+		return Optional{Present: x.Present, Value: CloneValue(x.Value)}
 	default:
 		return v
 	}
+}
+
+// withFields returns a copy of d with fields overwritten by deep copies of
+// the given values; the id field is never overwritten. Values kept from d
+// are shared, not copied: they belong to a stored document, so nothing
+// modifies them.
+func withFields(d, fields Doc) Doc {
+	out := make(Doc, len(d)+len(fields))
+	for k, v := range d {
+		out[k] = v
+	}
+	for k, v := range fields {
+		if k == "id" {
+			continue // ids are immutable
+		}
+		out[k] = CloneValue(v)
+	}
+	return out
 }
 
 // ID returns the document's id.
@@ -329,48 +356,48 @@ func (c *Collection) Adopt(id ID, doc Doc) error {
 	return c.db.DurabilityErr()
 }
 
-// Get returns a copy of the document with the given id.
+// Get returns the document with the given id. The document is shared with
+// the store and every other reader: the caller must never modify it. It
+// stays valid after the call, holding the values it had when read.
 func (c *Collection) Get(id ID) (Doc, bool) {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
 	d, ok := c.docs[id]
-	if !ok {
-		return nil, false
-	}
-	return d.Clone(), true
+	c.mu.RUnlock()
+	return d, ok
 }
 
-// Find returns copies of all documents matching every filter, in id order.
-// Equality filters on indexed fields probe the index instead of scanning.
+// Find returns all documents matching every filter, in id order. Like Get,
+// it returns the shared stored documents, which the caller must never
+// modify. Equality filters on indexed fields probe the index instead of
+// scanning.
 func (c *Collection) Find(filters ...Filter) []Doc {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
 	var out []Doc
 	if ids, ok := c.indexProbe(filters); ok {
 		for _, id := range ids {
 			d := c.docs[id]
 			if d != nil && matchAll(d, filters) {
-				out = append(out, d.Clone())
+				out = append(out, d)
 			}
 		}
 	} else {
 		for _, d := range c.docs {
 			if matchAll(d, filters) {
-				out = append(out, d.Clone())
+				out = append(out, d)
 			}
 		}
 	}
+	c.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
 
-// FindAfter returns copies of at most limit documents whose id exceeds
-// after, in ascending id order. It is the online-backfill scan primitive:
-// the lock is held only to collect ids and clone the bounded batch, so a
-// foreground reader or writer is never blocked behind a whole-collection
-// clone the way Find blocks it. Documents inserted later with higher ids
-// are picked up by subsequent calls, which is exactly what a watermark
-// sweep over a live collection needs. A limit <= 0 means no bound.
+// FindAfter returns at most limit documents whose id exceeds after, in
+// ascending id order; like Get, the documents are shared and read-only. It
+// is the online-backfill scan primitive: documents inserted later with
+// higher ids are picked up by subsequent calls, which is exactly what a
+// watermark sweep over a live collection needs. A limit <= 0 means no
+// bound.
 func (c *Collection) FindAfter(after ID, limit int) []Doc {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -386,9 +413,18 @@ func (c *Collection) FindAfter(after ID, limit int) []Doc {
 	}
 	out := make([]Doc, 0, len(ids))
 	for _, id := range ids {
-		out = append(out, c.docs[id].Clone())
+		out = append(out, c.docs[id])
 	}
 	return out
+}
+
+// replace installs next as the document with id in place of prev and
+// moves the indexes over; callers hold the write lock. prev itself is left
+// untouched for the readers that still hold it.
+func (c *Collection) replace(id ID, prev, next Doc) {
+	c.indexRemove(id, prev)
+	c.docs[id] = next
+	c.indexAdd(id, next)
 }
 
 // UpdateIfAbsent sets field to v on the document with id only when the
@@ -399,24 +435,34 @@ func (c *Collection) FindAfter(after ID, limit int) []Doc {
 // installed. A missing document is not an error: the backfill races
 // foreground deletes, and a deleted document simply no longer needs the
 // field.
-func (c *Collection) UpdateIfAbsent(id ID, field string, v Value) (bool, error) {
+//
+// UpdateIfAbsent logs the write but does not wait for it to become
+// durable: the caller passes the returned wait (nil when nothing was
+// logged) to DB.Await before it relies on the write, so a batch of writes
+// shares one wait instead of paying one each.
+func (c *Collection) UpdateIfAbsent(id ID, field string, v Value) (bool, WaitFunc) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	d, ok := c.docs[id]
 	if !ok {
-		c.mu.Unlock()
 		return false, nil
 	}
 	if _, present := d[field]; present {
-		c.mu.Unlock()
 		return false, nil
 	}
-	c.indexRemove(id, d)
-	d[field] = cloneValue(v)
-	c.indexAdd(id, d)
-	wait := c.db.logMutation(Mutation{Op: MutUpdate, Coll: c.name, ID: id, Doc: Doc{field: d[field]}})
-	c.mu.Unlock()
-	c.db.finish(wait)
-	return true, c.db.DurabilityErr()
+	next := withFields(d, Doc{field: v})
+	c.replace(id, d, next)
+	return true, c.db.logMutation(Mutation{Op: MutUpdate, Coll: c.name, ID: id, Doc: Doc{field: next[field]}})
+}
+
+// Await waits, in order, for logged writes to become durable and returns
+// DurabilityErr. Nil waits are skipped. Call it with no collection lock
+// held.
+func (db *DB) Await(waits ...WaitFunc) error {
+	for _, w := range waits {
+		db.finish(w)
+	}
+	return db.DurabilityErr()
 }
 
 // Count returns the number of documents matching every filter.
@@ -456,7 +502,8 @@ func (c *Collection) CountAfter(after ID) int {
 }
 
 // Update overwrites the given fields of the document with id. It fails if
-// the document does not exist.
+// the document does not exist. The stored document is replaced by an
+// updated copy; readers holding the old one keep seeing its old values.
 func (c *Collection) Update(id ID, fields Doc) error {
 	c.mu.Lock()
 	d, ok := c.docs[id]
@@ -464,14 +511,7 @@ func (c *Collection) Update(id ID, fields Doc) error {
 		c.mu.Unlock()
 		return fmt.Errorf("store: no document %v in %s", id, c.name)
 	}
-	c.indexRemove(id, d)
-	for k, v := range fields {
-		if k == "id" {
-			continue // ids are immutable
-		}
-		d[k] = cloneValue(v)
-	}
-	c.indexAdd(id, d)
+	c.replace(id, d, withFields(d, fields))
 	wait := c.db.logMutation(Mutation{Op: MutUpdate, Coll: c.name, ID: id, Doc: fields})
 	c.mu.Unlock()
 	c.db.finish(wait)
@@ -481,7 +521,8 @@ func (c *Collection) Update(id ID, fields Doc) error {
 // UpdateAll applies an updater function to every document matching the
 // filters; the updater returns the fields to overwrite (nil for no change).
 // It returns the number of updated documents. Used by migrations to
-// populate new fields.
+// populate new fields. The updater receives the shared stored document and
+// must not modify it.
 // Durability is per document: each modified document is logged as its own
 // update record, so a crash mid-bulk-update recovers a prefix of the
 // individual document updates. The records share one lock hold, so they
@@ -490,23 +531,16 @@ func (c *Collection) UpdateAll(filters []Filter, update func(Doc) Doc) int {
 	c.mu.Lock()
 	n := 0
 	var wait WaitFunc
-	for _, d := range c.docs {
+	for id, d := range c.docs {
 		if !matchAll(d, filters) {
 			continue
 		}
-		fields := update(d.Clone())
+		fields := update(d)
 		if fields == nil {
 			continue
 		}
-		c.indexRemove(d.ID(), d)
-		for k, v := range fields {
-			if k == "id" {
-				continue
-			}
-			d[k] = cloneValue(v)
-		}
-		c.indexAdd(d.ID(), d)
-		wait = c.db.logMutation(Mutation{Op: MutUpdate, Coll: c.name, ID: d.ID(), Doc: fields})
+		c.replace(id, d, withFields(d, fields))
+		wait = c.db.logMutation(Mutation{Op: MutUpdate, Coll: c.name, ID: id, Doc: fields})
 		n++
 	}
 	c.mu.Unlock()
@@ -515,12 +549,20 @@ func (c *Collection) UpdateAll(filters []Filter, update func(Doc) Doc) int {
 }
 
 // RemoveField deletes a field from every document (schema migration).
+// Each document carrying the field is replaced by a copy without it.
 func (c *Collection) RemoveField(field string) {
 	c.mu.Lock()
 	for id, d := range c.docs {
-		c.indexRemove(id, d)
-		delete(d, field)
-		c.indexAdd(id, d)
+		if _, ok := d[field]; !ok {
+			continue
+		}
+		next := make(Doc, len(d)-1)
+		for k, v := range d {
+			if k != field {
+				next[k] = v
+			}
+		}
+		c.replace(id, d, next)
 	}
 	wait := c.db.logMutation(Mutation{Op: MutRemoveField, Coll: c.name, Field: field})
 	c.mu.Unlock()
@@ -662,33 +704,3 @@ func Match(d Doc, f Filter) bool { return match(d, f) }
 
 // MatchAll reports whether the document satisfies every filter.
 func MatchAll(d Doc, filters []Filter) bool { return matchAll(d, filters) }
-
-// Peek calls fn with the live document under the collection lock, avoiding
-// the defensive copy Get makes; fn must not retain or mutate the document.
-// It reports whether the document exists. The policy evaluator uses this on
-// its hot path: every ORM operation evaluates policies that probe the
-// principal's own document against Find criteria.
-func (c *Collection) Peek(id ID, fn func(Doc)) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	d, ok := c.docs[id]
-	if !ok {
-		return false
-	}
-	fn(d)
-	return true
-}
-
-// PeekMatch reports whether the document exists and whether it matches
-// every filter, without cloning and without a callback. This is the
-// compiled policy engine's Find-membership probe: Peek's closure and defer
-// are measurable at that call frequency.
-func (c *Collection) PeekMatch(id ID, filters []Filter) (found, matched bool) {
-	c.mu.RLock()
-	d, found := c.docs[id]
-	if found {
-		matched = matchAll(d, filters)
-	}
-	c.mu.RUnlock()
-	return found, matched
-}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -23,16 +24,85 @@ func TestInsertGet(t *testing.T) {
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
+// TestStoredDocsNeverChange pins the read contract: Get, Find and
+// FindAfter share the stored document, and every writer replaces it with
+// an updated copy instead of changing it. A document read before a write
+// keeps its old values; a read after the write sees the new ones.
+func TestStoredDocsNeverChange(t *testing.T) {
+	writers := []struct {
+		name  string
+		write func(t *testing.T, c *Collection, id ID)
+		want  Doc // the document's fields after the write, without id
+	}{
+		{"Update", func(t *testing.T, c *Collection, id ID) {
+			if err := c.Update(id, Doc{"name": "bob", "tags": []Value{"b"}}); err != nil {
+				t.Fatal(err)
+			}
+		}, Doc{"name": "bob", "age": int64(30), "tags": []Value{"b"}}},
+		{"UpdateIfAbsent", func(t *testing.T, c *Collection, id ID) {
+			if wrote, _ := c.UpdateIfAbsent(id, "bio", "hi"); !wrote {
+				t.Fatal("UpdateIfAbsent did not write")
+			}
+		}, Doc{"name": "alice", "age": int64(30), "tags": []Value{"a"}, "bio": "hi"}},
+		{"UpdateAll", func(t *testing.T, c *Collection, id ID) {
+			if n := c.UpdateAll(nil, func(d Doc) Doc { return Doc{"age": d["age"].(int64) + 1} }); n != 1 {
+				t.Fatalf("UpdateAll updated %d", n)
+			}
+		}, Doc{"name": "alice", "age": int64(31), "tags": []Value{"a"}}},
+		{"RemoveField", func(t *testing.T, c *Collection, id ID) { c.RemoveField("tags") },
+			Doc{"name": "alice", "age": int64(30)}},
+	}
+	for _, w := range writers {
+		t.Run(w.name, func(t *testing.T) {
+			db := Open()
+			users := db.Collection("User")
+			users.EnsureIndex("name")
+			id := users.Insert(Doc{"name": "alice", "age": int64(30), "tags": []Value{"a"}})
+			got, _ := users.Get(id)
+			found := users.Find(Eq("name", "alice"))
+			after := users.FindAfter(Nil, 0)
+			before := got.Clone()
+
+			w.write(t, users, id)
+
+			for _, old := range []Doc{got, found[0], after[0]} {
+				if !reflect.DeepEqual(old, before) {
+					t.Fatalf("a document read before %s changed: %v, was %v", w.name, old, before)
+				}
+			}
+			now, _ := users.Get(id)
+			want := w.want.Clone()
+			want["id"] = id
+			if !reflect.DeepEqual(now, want) {
+				t.Fatalf("after %s: Get = %v, want %v", w.name, now, want)
+			}
+			if n := len(users.Find(Eq("name", want["name"]))); n != 1 {
+				t.Fatalf("after %s: index finds %d documents by name", w.name, n)
+			}
+			if err := users.checkIndexInvariant(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestInsertCopiesCallerDoc checks that the store never shares the
+// caller's map: Insert and InsertWithID store a copy.
+func TestInsertCopiesCallerDoc(t *testing.T) {
 	db := Open()
 	users := db.Collection("User")
-	id := users.Insert(Doc{"name": "alice", "tags": []Value{"a"}})
-	d, _ := users.Get(id)
-	d["name"] = "mallory"
-	d["tags"].([]Value)[0] = "evil"
-	d2, _ := users.Get(id)
-	if d2["name"] != "alice" || d2["tags"].([]Value)[0] != "a" {
-		t.Fatal("mutation leaked into the store")
+	doc := Doc{"name": "alice", "tags": []Value{"a"}}
+	id := users.Insert(doc)
+	if err := users.InsertWithID(ID(1000), doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["name"] = "mallory"
+	doc["tags"].([]Value)[0] = "evil"
+	for _, id := range []ID{id, 1000} {
+		d, _ := users.Get(id)
+		if d["name"] != "alice" || d["tags"].([]Value)[0] != "a" {
+			t.Fatalf("caller's mutation reached stored document %v: %v", id, d)
+		}
 	}
 }
 

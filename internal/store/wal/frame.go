@@ -14,8 +14,8 @@ import (
 //
 // so they share one torn-tail discipline and one checksum convention.
 // sealFrame is the only writer of a frame header and ScanFrames the only
-// validator of one (the live-tail reader peeks at lengths only to size its
-// reads, then validates through ParseFrame).
+// validator of one (the live-tail reader, readFrameAt, peeks at a length
+// only to size its read, then validates through ScanFrames).
 
 const (
 	frameSize    = 8

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -161,35 +162,79 @@ func firstLSNOf(path string, seg uint64) (lsn uint64, has bool, err error) {
 		return 0, false, err
 	}
 	defer f.Close()
-	var hdr [headerSize + frameSize]byte
-	n, err := io.ReadFull(f, hdr[:])
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return 0, false, err
-	}
-	if n < headerSize || string(hdr[:8]) != segMagic {
-		return 0, false, fmt.Errorf("wal: %s: bad segment header", path)
-	}
-	if n < headerSize+frameSize {
-		return 0, false, nil
-	}
-	plen := int64(uint32(hdr[headerSize]) | uint32(hdr[headerSize+1])<<8 |
-		uint32(hdr[headerSize+2])<<16 | uint32(hdr[headerSize+3])<<24)
-	if plen > maxRecordLen {
-		return 0, false, nil
-	}
-	frame := make([]byte, frameSize+plen)
-	copy(frame, hdr[headerSize:])
-	if _, err := io.ReadFull(f, frame[n-headerSize:]); err != nil {
-		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			return 0, false, nil
+	if err := checkSegmentHeader(f, path); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = fmt.Errorf("wal: %s: bad segment header", path)
 		}
 		return 0, false, err
 	}
-	p, err := ParseFrame(frame)
-	if err != nil {
-		return 0, false, nil // torn or mid-write first record: cannot anchor
+	fr, err := readFrameAt(f, headerSize)
+	switch {
+	case err == nil:
+		return fr.LSN, true, nil
+	case err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, errBadFrame):
+		return 0, false, nil // empty, or a torn or mid-write first record: cannot anchor
+	default:
+		return 0, false, err
 	}
-	return p.LSN(), true, nil
+}
+
+// checkSegmentHeader checks a segment file's magic. It returns
+// io.ErrUnexpectedEOF when the file is shorter than a header.
+func checkSegmentHeader(f io.ReaderAt, path string) error {
+	var hdr [headerSize]byte
+	if n, err := f.ReadAt(hdr[:], 0); n < headerSize {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	if string(hdr[:8]) != segMagic {
+		return fmt.Errorf("wal: %s: bad segment header", path)
+	}
+	return nil
+}
+
+// errBadFrame reports a frame whose length is implausible, whose checksum
+// fails, or whose payload does not start with an LSN.
+var errBadFrame = errors.New("wal: malformed frame")
+
+// readFrameAt reads the frame that starts at off in f. It checks the frame
+// (ScanFrames) and reads the LSN at the head of its payload, without
+// decoding the rest of the record: shipping a record needs only its LSN,
+// and the follower validates the record in full before applying it. It
+// returns io.EOF when off is the end of the file, io.ErrUnexpectedEOF when
+// the file ends inside the frame, and an errBadFrame error for a damaged
+// frame.
+func readFrameAt(f io.ReaderAt, off int64) (Frame, error) {
+	var hdr [frameSize]byte
+	if n, err := f.ReadAt(hdr[:], off); n < frameSize {
+		if err == io.EOF && n > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return Frame{}, err
+	}
+	plen := int64(binary.LittleEndian.Uint32(hdr[:4]))
+	if plen > maxRecordLen {
+		return Frame{}, fmt.Errorf("%w: implausible record length %d", errBadFrame, plen)
+	}
+	data := make([]byte, frameSize+plen)
+	copy(data, hdr[:])
+	if _, err := f.ReadAt(data[frameSize:], off+frameSize); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return Frame{}, err
+	}
+	var payload []byte
+	if _, clean := ScanFrames(data, 0, func(p []byte) bool { payload = p; return true }); !clean {
+		return Frame{}, fmt.Errorf("%w: checksum mismatch", errBadFrame)
+	}
+	lsn, n := binary.Uvarint(payload)
+	if n <= 0 {
+		return Frame{}, fmt.Errorf("%w: payload does not start with an LSN", errBadFrame)
+	}
+	return Frame{LSN: lsn, Data: data}, nil
 }
 
 // Next blocks until the next record is durable and returns it. It returns
@@ -268,25 +313,20 @@ func (t *Tail) readFrame() (Frame, error) {
 			if err != nil {
 				return Frame{}, err
 			}
-			var hdr [headerSize]byte
-			if n, err := f.ReadAt(hdr[:], 0); n < headerSize {
+			if err := checkSegmentHeader(f, path); err != nil {
 				f.Close()
-				if err == io.EOF || err == io.ErrUnexpectedEOF || err == nil {
+				if err == io.ErrUnexpectedEOF {
 					return Frame{}, errRetryLater // header still being written
 				}
 				return Frame{}, err
-			}
-			if string(hdr[:8]) != segMagic {
-				f.Close()
-				return Frame{}, fmt.Errorf("wal: %s: bad segment header", path)
 			}
 			t.f = f
 			t.off.Store(headerSize)
 		}
 		off := t.off.Load()
-		var fhdr [frameSize]byte
-		n, err := t.f.ReadAt(fhdr[:], off)
-		if n == 0 && err == io.EOF {
+		fr, err := readFrameAt(t.f, off)
+		switch {
+		case err == io.EOF:
 			// Exhausted at a record boundary: move on if a newer segment
 			// exists (rotation fully flushes the old one first), otherwise
 			// the durable record is still landing in this file.
@@ -298,31 +338,13 @@ func (t *Tail) readFrame() (Frame, error) {
 				continue
 			}
 			return Frame{}, errRetryLater
+		case err == io.ErrUnexpectedEOF:
+			return Frame{}, errRetryLater
+		case err != nil:
+			return Frame{}, fmt.Errorf("wal: tail read at %s+%d: %w", segName(t.seg.Load()), off, err)
 		}
-		if n < frameSize {
-			if err == io.EOF {
-				return Frame{}, errRetryLater
-			}
-			return Frame{}, err
-		}
-		plen := int64(uint32(fhdr[0]) | uint32(fhdr[1])<<8 | uint32(fhdr[2])<<16 | uint32(fhdr[3])<<24)
-		if plen > maxRecordLen {
-			return Frame{}, fmt.Errorf("wal: tail read implausible record length %d", plen)
-		}
-		frame := make([]byte, frameSize+plen)
-		copy(frame, fhdr[:])
-		if _, err := t.f.ReadAt(frame[frameSize:], off+frameSize); err != nil {
-			if err == io.EOF {
-				return Frame{}, errRetryLater
-			}
-			return Frame{}, err
-		}
-		p, err := ParseFrame(frame)
-		if err != nil {
-			return Frame{}, err
-		}
-		t.off.Store(off + int64(len(frame)))
-		return Frame{LSN: p.LSN(), Data: frame}, nil
+		t.off.Store(off + int64(len(fr.Data)))
+		return fr, nil
 	}
 }
 
