@@ -89,16 +89,16 @@ func LogicalHash(dbs []*store.DB) (string, error) {
 
 // mergedDocs collects the named collection's documents across dbs in
 // ascending id order (ties, which indicate an id-ownership violation,
-// break by database index).
+// break by database index). Each database's Find is already id-ordered,
+// so the lists are merged, not sorted.
 func mergedDocs(dbs []*store.DB, name string) []store.Doc {
-	var out []store.Doc
+	lists := make([][]store.Doc, 0, len(dbs))
 	for _, db := range dbs {
 		if c, ok := db.Lookup(name); ok {
-			out = append(out, c.Find()...)
+			lists = append(lists, c.Find())
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
-	return out
+	return mergeByID(lists, store.Doc.ID)
 }
 
 // distinct renders the named collection on every database holding a

@@ -171,7 +171,7 @@ func (p *Princ) Find(model string, filters ...store.Filter) ([]*orm.Object, erro
 			return nil, err
 		}
 	}
-	return mergeByID(results), nil
+	return mergeByID(results, func(o *orm.Object) store.ID { return o.ID }), nil
 }
 
 // routedID recognises a query pinned to one document: an equality filter
@@ -190,12 +190,12 @@ func routedID(filters []store.Filter) (store.ID, bool) {
 // mergeByID k-way-merges per-shard result lists, each in ascending id
 // order, into one ascending list. Ties (which only arise if callers reuse
 // ids across shards) break by shard index, keeping the merge total.
-func mergeByID(lists [][]*orm.Object) []*orm.Object {
+func mergeByID[T any](lists [][]T, id func(T) store.ID) []T {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
 	}
-	out := make([]*orm.Object, 0, total)
+	out := make([]T, 0, total)
 	idx := make([]int, len(lists))
 	for len(out) < total {
 		best := -1
@@ -203,7 +203,7 @@ func mergeByID(lists [][]*orm.Object) []*orm.Object {
 			if idx[i] >= len(l) {
 				continue
 			}
-			if best < 0 || l[idx[i]].ID < lists[best][idx[best]].ID {
+			if best < 0 || id(l[idx[i]]) < id(lists[best][idx[best]]) {
 				best = i
 			}
 		}

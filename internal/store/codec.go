@@ -130,12 +130,36 @@ func DecodeDoc(b []byte) (Doc, error) {
 // It never panics; after the first failure every read returns a zero value
 // and End reports the failure.
 type Reader struct {
-	b   []byte
-	err error
+	b     []byte
+	err   error
+	names *Names
 }
 
 // NewReader returns a Reader over b.
 func NewReader(b []byte) *Reader { return &Reader{b: b} }
+
+// Names shares field-name strings among the documents decoded through it:
+// each distinct name is allocated once rather than once per document.
+// Recovery keeps one Names for the whole of one log's decode, so the table
+// lives as long as the decode and the names as long as the documents. The
+// zero value is ready to use; a Names is not safe for concurrent use.
+type Names struct{ m map[string]string }
+
+// Reader returns a Reader over b whose documents take their field names
+// from n. A nil n shares nothing, like NewReader.
+func (n *Names) Reader(b []byte) *Reader { return &Reader{b: b, names: n} }
+
+func (n *Names) intern(b []byte) string {
+	if s, ok := n.m[string(b)]; ok {
+		return s
+	}
+	if n.m == nil {
+		n.m = map[string]string{}
+	}
+	s := string(b)
+	n.m[s] = s
+	return s
+}
 
 // End returns the first failure, or an error if bytes remain unread.
 func (r *Reader) End() error {
@@ -205,13 +229,24 @@ func (r *Reader) Str() string {
 	return s
 }
 
+// name reads a field name, shared through the reader's Names if it has one.
+func (r *Reader) name() string {
+	if r.names == nil {
+		return r.Str()
+	}
+	n := r.Count()
+	s := r.names.intern(r.b[:n])
+	r.b = r.b[n:]
+	return s
+}
+
 // Doc reads a document (AppendDoc).
 func (r *Reader) Doc() Doc {
 	n := r.Count()
 	d := make(Doc, n+1) // room for the "id" the store adds
 	prev := ""
 	for i := 0; i < n && r.err == nil; i++ {
-		k := r.Str()
+		k := r.name()
 		if k == "id" || (i > 0 && k <= prev) {
 			r.fail("field %q out of order", k)
 			break

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // sameValue is deep equality with floats compared by bits, so NaN equals
@@ -150,4 +151,38 @@ func FuzzDecodeDoc(f *testing.F) {
 			t.Fatalf("round trip changed the document: %#v -> %#v", d, back)
 		}
 	})
+}
+
+// TestNamesShareFieldNames: documents decoded through one Names share each
+// field-name string and decode to the same documents as without it.
+func TestNamesShareFieldNames(t *testing.T) {
+	orig := Doc{"author": ID(1), "body": "x", "tags": []Value{"a"}}
+	enc, err := AppendDoc(nil, orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names Names
+	authorKey := func(r *Reader) *byte {
+		t.Helper()
+		d := r.Doc()
+		if err := r.End(); err != nil {
+			t.Fatal(err)
+		}
+		if !sameDoc(d, orig) {
+			t.Fatalf("decoded %#v, want %#v", d, orig)
+		}
+		for k := range d {
+			if k == "author" {
+				return unsafe.StringData(k)
+			}
+		}
+		t.Fatal("no author field")
+		return nil
+	}
+	if authorKey(names.Reader(enc)) != authorKey(names.Reader(enc)) {
+		t.Fatal("documents decoded through one Names hold separate copies of a field name")
+	}
+	if authorKey(NewReader(enc)) == authorKey(NewReader(enc)) {
+		t.Fatal("documents decoded without a Names share a field name")
+	}
 }

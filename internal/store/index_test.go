@@ -139,18 +139,3 @@ func BenchmarkFindEq_Scan(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkFindEq_Indexed(b *testing.B) {
-	db := Open()
-	c := db.Collection("User")
-	c.EnsureIndex("team")
-	for i := 0; i < 10000; i++ {
-		c.Insert(Doc{"team": int64(i % 100)})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := len(c.Find(Eq("team", int64(i%100)))); got != 100 {
-			b.Fatalf("got %d", got)
-		}
-	}
-}

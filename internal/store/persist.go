@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -186,15 +187,14 @@ func (v CutView) Indexes() []string {
 }
 
 // Each calls fn with every document in ascending id order, stopping at the
-// first error.
+// first error. It walks the collection's id sequence, so it neither
+// allocates nor sorts while the cut holds every collection lock.
 func (v CutView) Each(fn func(id ID, d Doc) error) error {
-	ids := make([]ID, 0, len(v.c.docs))
-	for id := range v.c.docs {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		if err := fn(id, v.c.docs[id]); err != nil {
+	for _, s := range v.c.seq.slots {
+		if s.doc == nil {
+			continue
+		}
+		if err := fn(s.id, s.doc); err != nil {
 			return err
 		}
 	}
@@ -275,20 +275,31 @@ func Restore(r io.Reader) (*DB, error) {
 		for _, field := range snap.Indexes {
 			c.EnsureIndex(field)
 		}
+		// Insert in ascending id order, so every insert appends to the
+		// collection's id sequence.
+		type entry struct {
+			id ID
+			ds docSnap
+		}
+		entries := make([]entry, 0, len(snap.Docs))
 		for idStr, ds := range snap.Docs {
 			var idNum int64
 			if _, err := fmt.Sscan(idStr, &idNum); err != nil {
 				return nil, fmt.Errorf("store: bad document id %q: %w", idStr, err)
 			}
-			doc := Doc{}
-			for k, tv := range ds {
+			entries = append(entries, entry{ID(idNum), ds})
+		}
+		slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
+		for _, e := range entries {
+			doc := make(Doc, len(e.ds)+1)
+			for k, tv := range e.ds {
 				v, err := decodeValue(tv)
 				if err != nil {
-					return nil, fmt.Errorf("store: %s/%s.%s: %w", name, idStr, k, err)
+					return nil, fmt.Errorf("store: %s/%d.%s: %w", name, int64(e.id), k, err)
 				}
 				doc[k] = v
 			}
-			if err := c.InsertWithID(ID(idNum), doc); err != nil {
+			if err := c.Adopt(e.id, doc); err != nil {
 				return nil, err
 			}
 		}

@@ -6,7 +6,9 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -122,14 +124,93 @@ type Filter struct {
 // Eq builds an equality filter.
 func Eq(field string, v Value) Filter { return Filter{Field: field, Op: FilterEq, Value: v} }
 
-// Collection is a named set of documents.
+// Collection is a named set of documents. docs serves lookups by id and
+// seq holds the same documents in ascending id order, so every read that
+// returns documents in id order walks seq instead of sorting.
 type Collection struct {
 	mu      sync.RWMutex
 	name    string
 	docs    map[ID]Doc
+	seq     idSeq
 	db      *DB
 	indexes map[string]*fieldIndex
 	dropped atomic.Bool
+}
+
+// slot is one entry of an idSeq: an id and the document stored under it.
+// A nil doc is a tombstone left by a removal.
+type slot struct {
+	id  ID
+	doc Doc
+}
+
+// idSeq holds documents in ascending id order; the primary order and every
+// index posting list are idSeqs. Ids are allocated in increasing order, so
+// an insert nearly always appends; an out-of-order id (an allocation race,
+// InsertWithID, replay) is placed by binary search. A removal leaves a
+// tombstone instead of shifting the tail, and the sequence is compacted
+// once tombstones outnumber live entries, so bulk deletes stay linear.
+// Readers skip tombstones.
+type idSeq struct {
+	slots []slot
+	dead  int // tombstones in slots
+}
+
+// live returns the number of live entries.
+func (q *idSeq) live() int { return len(q.slots) - q.dead }
+
+// search returns the position of id's slot, or where it would go, and
+// whether a slot (live or tombstone) holds id.
+func (q *idSeq) search(id ID) (int, bool) {
+	return slices.BinarySearchFunc(q.slots, id, func(s slot, id ID) int { return cmp.Compare(s.id, id) })
+}
+
+// after returns the position of the first slot whose id exceeds id.
+func (q *idSeq) after(id ID) int {
+	i, found := q.search(id)
+	if found {
+		i++
+	}
+	return i
+}
+
+// put stores doc under id: it appends, inserts in place, revives a
+// tombstone, or points a live slot at the new document.
+func (q *idSeq) put(id ID, doc Doc) {
+	if n := len(q.slots); n == 0 || q.slots[n-1].id < id {
+		q.slots = append(q.slots, slot{id, doc})
+		return
+	}
+	i, found := q.search(id)
+	switch {
+	case !found:
+		q.slots = slices.Insert(q.slots, i, slot{id, doc})
+	case q.slots[i].doc == nil:
+		q.slots[i].doc = doc
+		q.dead--
+	default:
+		q.slots[i].doc = doc
+	}
+}
+
+// remove tombstones id's slot, compacting once tombstones outnumber live
+// entries.
+func (q *idSeq) remove(id ID) {
+	i, found := q.search(id)
+	if !found || q.slots[i].doc == nil {
+		return
+	}
+	q.slots[i].doc = nil
+	q.dead++
+	if q.dead > q.live() {
+		live := make([]slot, 0, q.live())
+		for _, s := range q.slots {
+			if s.doc != nil {
+				live = append(live, s)
+			}
+		}
+		q.slots, q.dead = live, 0
+	}
 }
 
 // Dropped reports whether the collection has been removed from its
@@ -325,6 +406,7 @@ func (c *Collection) Insert(doc Doc) ID {
 	cp["id"] = id
 	c.mu.Lock()
 	c.docs[id] = cp
+	c.seq.put(id, cp)
 	c.indexAdd(id, cp)
 	wait := c.db.logMutation(Mutation{Op: MutInsert, Coll: c.name, ID: id, Doc: cp})
 	c.mu.Unlock()
@@ -349,6 +431,7 @@ func (c *Collection) Adopt(id ID, doc Doc) error {
 		return fmt.Errorf("store: id %v already exists in %s", id, c.name)
 	}
 	c.docs[id] = doc
+	c.seq.put(id, doc)
 	c.indexAdd(id, doc)
 	wait := c.db.logMutation(Mutation{Op: MutInsert, Coll: c.name, ID: id, Doc: doc})
 	c.mu.Unlock()
@@ -369,26 +452,27 @@ func (c *Collection) Get(id ID) (Doc, bool) {
 // Find returns all documents matching every filter, in id order. Like Get,
 // it returns the shared stored documents, which the caller must never
 // modify. Equality filters on indexed fields probe the index instead of
-// scanning.
+// scanning; posting lists and the primary sequence are both id-ordered, so
+// either path yields id order as it goes.
 func (c *Collection) Find(filters ...Filter) []Doc {
 	c.mu.RLock()
+	defer c.mu.RUnlock()
+	slots := c.seq.slots
 	var out []Doc
-	if ids, ok := c.indexProbe(filters); ok {
-		for _, id := range ids {
-			d := c.docs[id]
-			if d != nil && matchAll(d, filters) {
-				out = append(out, d)
-			}
+	if b, ok := c.indexProbe(filters); ok {
+		if b == nil {
+			return nil
 		}
-	} else {
-		for _, d := range c.docs {
-			if matchAll(d, filters) {
-				out = append(out, d)
-			}
+		slots = b.slots
+		if len(filters) == 1 {
+			out = make([]Doc, 0, b.live()) // every live posting matches
 		}
 	}
-	c.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
+	for _, s := range slots {
+		if s.doc != nil && matchAll(s.doc, filters) {
+			out = append(out, s.doc)
+		}
+	}
 	return out
 }
 
@@ -397,23 +481,23 @@ func (c *Collection) Find(filters ...Filter) []Doc {
 // is the online-backfill scan primitive: documents inserted later with
 // higher ids are picked up by subsequent calls, which is exactly what a
 // watermark sweep over a live collection needs. A limit <= 0 means no
-// bound.
+// bound. It costs a binary search plus the documents it returns.
 func (c *Collection) FindAfter(after ID, limit int) []Doc {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	ids := make([]ID, 0, len(c.docs))
-	for id := range c.docs {
-		if id > after {
-			ids = append(ids, id)
+	rest := c.seq.slots[c.seq.after(after):]
+	n := len(rest)
+	if limit > 0 && n > limit {
+		n = limit
+	}
+	out := make([]Doc, 0, n)
+	for _, s := range rest {
+		if len(out) == n {
+			break
 		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	if limit > 0 && len(ids) > limit {
-		ids = ids[:limit]
-	}
-	out := make([]Doc, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, c.docs[id])
+		if s.doc != nil {
+			out = append(out, s.doc)
+		}
 	}
 	return out
 }
@@ -422,9 +506,11 @@ func (c *Collection) FindAfter(after ID, limit int) []Doc {
 // moves the indexes over; callers hold the write lock. prev itself is left
 // untouched for the readers that still hold it.
 func (c *Collection) replace(id ID, prev, next Doc) {
-	c.indexRemove(id, prev)
+	for _, ix := range c.indexes {
+		ix.replace(id, prev, next)
+	}
 	c.docs[id] = next
-	c.indexAdd(id, next)
+	c.seq.put(id, next)
 }
 
 // UpdateIfAbsent sets field to v on the document with id only when the
@@ -469,17 +555,16 @@ func (db *DB) Await(waits ...WaitFunc) error {
 func (c *Collection) Count(filters ...Filter) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	n := 0
-	if ids, ok := c.indexProbe(filters); ok {
-		for _, id := range ids {
-			if d := c.docs[id]; d != nil && matchAll(d, filters) {
-				n++
-			}
+	slots := c.seq.slots
+	if b, ok := c.indexProbe(filters); ok {
+		if b == nil {
+			return 0
 		}
-		return n
+		slots = b.slots
 	}
-	for _, d := range c.docs {
-		if matchAll(d, filters) {
+	n := 0
+	for _, s := range slots {
+		if s.doc != nil && matchAll(s.doc, filters) {
 			n++
 		}
 	}
@@ -487,14 +572,19 @@ func (c *Collection) Count(filters ...Filter) int {
 }
 
 // CountAfter returns the number of documents with id > after. Backfills
-// use it for cheap remaining-work gauges: it scans ids without cloning
-// documents, so the read lock is held only for the scan.
+// use it for cheap remaining-work gauges: it binary-searches the id
+// sequence and touches no document, walking the tail only while removals
+// have left tombstones in it.
 func (c *Collection) CountAfter(after ID) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	i := c.seq.after(after)
+	if c.seq.dead == 0 {
+		return len(c.seq.slots) - i
+	}
 	n := 0
-	for id := range c.docs {
-		if id > after {
+	for _, s := range c.seq.slots[i:] {
+		if s.doc != nil {
 			n++
 		}
 	}
@@ -522,7 +612,7 @@ func (c *Collection) Update(id ID, fields Doc) error {
 // filters; the updater returns the fields to overwrite (nil for no change).
 // It returns the number of updated documents. Used by migrations to
 // populate new fields. The updater receives the shared stored document and
-// must not modify it.
+// must not modify it. Documents are visited in id order.
 // Durability is per document: each modified document is logged as its own
 // update record, so a crash mid-bulk-update recovers a prefix of the
 // individual document updates. The records share one lock hold, so they
@@ -531,16 +621,16 @@ func (c *Collection) UpdateAll(filters []Filter, update func(Doc) Doc) int {
 	c.mu.Lock()
 	n := 0
 	var wait WaitFunc
-	for id, d := range c.docs {
-		if !matchAll(d, filters) {
+	for _, s := range c.seq.slots {
+		if s.doc == nil || !matchAll(s.doc, filters) {
 			continue
 		}
-		fields := update(d)
+		fields := update(s.doc)
 		if fields == nil {
 			continue
 		}
-		c.replace(id, d, withFields(d, fields))
-		wait = c.db.logMutation(Mutation{Op: MutUpdate, Coll: c.name, ID: id, Doc: fields})
+		c.replace(s.id, s.doc, withFields(s.doc, fields))
+		wait = c.db.logMutation(Mutation{Op: MutUpdate, Coll: c.name, ID: s.id, Doc: fields})
 		n++
 	}
 	c.mu.Unlock()
@@ -552,17 +642,17 @@ func (c *Collection) UpdateAll(filters []Filter, update func(Doc) Doc) int {
 // Each document carrying the field is replaced by a copy without it.
 func (c *Collection) RemoveField(field string) {
 	c.mu.Lock()
-	for id, d := range c.docs {
-		if _, ok := d[field]; !ok {
+	for _, s := range c.seq.slots {
+		if _, ok := s.doc[field]; !ok {
 			continue
 		}
-		next := make(Doc, len(d)-1)
-		for k, v := range d {
+		next := make(Doc, len(s.doc)-1)
+		for k, v := range s.doc {
 			if k != field {
 				next[k] = v
 			}
 		}
-		c.replace(id, d, next)
+		c.replace(s.id, s.doc, next)
 	}
 	wait := c.db.logMutation(Mutation{Op: MutRemoveField, Coll: c.name, Field: field})
 	c.mu.Unlock()
@@ -580,6 +670,7 @@ func (c *Collection) Delete(id ID) bool {
 	}
 	c.indexRemove(id, d)
 	delete(c.docs, id)
+	c.seq.remove(id)
 	wait := c.db.logMutation(Mutation{Op: MutDelete, Coll: c.name, ID: id})
 	c.mu.Unlock()
 	c.db.finish(wait)
@@ -668,11 +759,13 @@ func valueEq(a, b Value) bool {
 	return false
 }
 
-// compareValues orders two numeric values; ok is false for non-numerics.
+// compareValues orders two numeric values, compared as float64; ok is
+// false for non-numerics and for NaN, which is unordered and equals
+// nothing.
 func compareValues(a, b Value) (int, bool) {
 	af, aok := toFloat(a)
 	bf, bok := toFloat(b)
-	if !aok || !bok {
+	if !aok || !bok || af != af || bf != bf {
 		return 0, false
 	}
 	switch {

@@ -177,7 +177,7 @@ func TestCompactConsistentCut(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cut, err := decodeSnapshot(data)
+		cut, err := decodeSnapshot(data, nil)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}

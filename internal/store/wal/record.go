@@ -99,9 +99,10 @@ func appendRecordHead(dst []byte, lsn uint64, op byte, coll string, id int64, fi
 	return binary.AppendUvarint(store.AppendString(dst, field), snap)
 }
 
-// decodeRecord parses one record payload, document included.
-func decodeRecord(p []byte) (record, error) {
-	r := store.NewReader(p)
+// decodeRecord parses one record payload, document included; the
+// document's field names come from names (nil for none).
+func decodeRecord(p []byte, names *store.Names) (record, error) {
+	r := names.Reader(p)
 	rec := record{LSN: r.Uvarint(), Op: r.Byte(), Coll: r.Str(), ID: r.Varint(), Field: r.Str(), Snap: r.Uvarint()}
 	if hasDoc(rec.Op) {
 		rec.Doc = r.Doc()
@@ -160,7 +161,7 @@ func ParseFrame(frame []byte) (*ParsedFrame, error) {
 	}); !clean || frames != 1 {
 		return nil, fmt.Errorf("wal: %d-byte buffer is not exactly one well-formed frame", len(frame))
 	}
-	rec, err := decodeRecord(payload)
+	rec, err := decodeRecord(payload, nil)
 	if err != nil {
 		return nil, fmt.Errorf("wal: frame payload: %w", err)
 	}
@@ -182,7 +183,7 @@ type segScan struct {
 // Everything before the torn tail (see ScanFrames; a payload that does not
 // decode is torn too) is returned, with ok false when there is a tail.
 // Recovery truncates at good and never fails or panics on a torn tail.
-func parseSegment(buf []byte, seg uint64) segScan {
+func parseSegment(buf []byte, seg uint64, names *store.Names) segScan {
 	if len(buf) < headerSize || string(buf[:8]) != segMagic ||
 		binary.LittleEndian.Uint64(buf[8:16]) != seg {
 		return segScan{}
@@ -190,7 +191,7 @@ func parseSegment(buf []byte, seg uint64) segScan {
 	s := segScan{headerOK: true}
 	end := int64(headerSize)
 	s.good, s.ok = ScanFrames(buf, headerSize, func(payload []byte) bool {
-		rec, err := decodeRecord(payload)
+		rec, err := decodeRecord(payload, names)
 		if err != nil {
 			return false
 		}

@@ -39,6 +39,9 @@ func Open(dir string, opts Options) (*Log, *store.DB, error) {
 	// (tmp + fsync + rename), so a present snapshot is complete; one that
 	// fails any check is real damage and recovery stops rather than
 	// silently reviving older state.
+	// One name table serves the whole recovery, so every recovered
+	// document shares its field-name strings.
+	names := &store.Names{}
 	var boundary uint64
 	var db *store.DB
 	if len(snaps) > 0 {
@@ -51,7 +54,7 @@ func Open(dir string, opts Options) (*Log, *store.DB, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if db, err = decodeSnapshot(data); err != nil {
+		if db, err = decodeSnapshot(data, names); err != nil {
 			return nil, nil, fmt.Errorf("wal: snapshot %s: %w", snaps[boundary], err)
 		}
 	} else {
@@ -90,7 +93,7 @@ func Open(dir string, opts Options) (*Log, *store.DB, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		scan := parseSegment(buf, seg)
+		scan := parseSegment(buf, seg, names)
 		keep := scan.good
 		bad := !scan.ok
 		for i, rec := range scan.recs {

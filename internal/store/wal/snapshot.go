@@ -74,8 +74,8 @@ type snapColl struct {
 
 // decodeSnapshot restores a store from a snapshot file's bytes, checking
 // every frame's checksum, the document counts, and that nothing trails the
-// last document.
-func decodeSnapshot(buf []byte) (*store.DB, error) {
+// last document. Field names come from names (nil for none).
+func decodeSnapshot(buf []byte, names *store.Names) (*store.DB, error) {
 	if len(buf) < len(snapMagic) || string(buf[:len(snapMagic)]) != snapMagic {
 		return nil, errors.New("bad snapshot magic")
 	}
@@ -99,7 +99,7 @@ func decodeSnapshot(buf []byte) (*store.DB, error) {
 			err = errors.New("more documents than the header counts")
 			return false
 		}
-		r := store.NewReader(p)
+		r := names.Reader(p)
 		id, doc := store.ID(r.Varint()), r.Doc()
 		derr := r.End()
 		if derr == nil && inColl && id <= lastID {

@@ -170,7 +170,7 @@ func TestTailFromCompactedLSNAndBootstrap(t *testing.T) {
 		t.Fatalf("empty bootstrap: lsn=%d snap=%d bytes", snapLSN, len(snap))
 	}
 	// The snapshot state plus the streamed records must equal the primary.
-	restored, err := decodeSnapshot(snap)
+	restored, err := decodeSnapshot(snap, nil)
 	if err != nil {
 		t.Fatalf("restore bootstrap snapshot: %v", err)
 	}

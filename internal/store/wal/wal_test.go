@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"scooter/internal/obs"
 	"scooter/internal/store"
@@ -393,4 +394,49 @@ func TestBatchRecordCapSplitsBulkDrains(t *testing.T) {
 		t.Fatal("recovered snapshot differs after chunked flushes")
 	}
 	mustClose(t, l2)
+}
+
+// TestRecoverySharesFieldNames: every document one Open recovers, from the
+// snapshot and from the live segment alike, shares its field-name strings.
+func TestRecoverySharesFieldNames(t *testing.T) {
+	dir := t.TempDir()
+	l, db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	users := db.Collection("users")
+	var ids []store.ID
+	for i := 0; i < 3; i++ {
+		ids = append(ids, users.Insert(store.Doc{"name": "before"}))
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		ids = append(ids, users.Insert(store.Doc{"name": "after"}))
+	}
+	mustClose(t, l)
+
+	l, db, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer mustClose(t, l)
+	var shared *byte
+	for _, id := range ids {
+		d, ok := db.Collection("users").Get(id)
+		if !ok {
+			t.Fatalf("document %v not recovered", id)
+		}
+		for k := range d {
+			if k != "name" {
+				continue
+			}
+			if shared == nil {
+				shared = unsafe.StringData(k)
+			} else if unsafe.StringData(k) != shared {
+				t.Fatalf("document %v holds its own copy of the field name", id)
+			}
+		}
+	}
 }
