@@ -67,7 +67,7 @@ CreateModel(Tag {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.SetSchema(cur2)
+	conn.Install(cur2, nil)
 
 	// ...then backfill through the ORM as the Moderator principal. Every
 	// read and insert is policy-checked.
@@ -112,5 +112,5 @@ func applyScript(t *testing.T, cur *schema.Schema, db *store.DB, src string) (*s
 	if err != nil {
 		return nil, err
 	}
-	return migrate.VerifyAndExecute(cur, script, db, migrate.DefaultOptions())
+	return migrate.VerifyAndExecute(cur, script, db, migrate.DefaultOptions(), nil)
 }

@@ -8,11 +8,6 @@ import (
 	"scooter/internal/store"
 )
 
-// Online notes for Apply: when opts.Online is set, backfilling commands
-// run batched and watermarked (see online.go), the dual-read window opens
-// via opts.OnPlanned/LazyBegin before data changes, and a crash resumes
-// mid-command at entry.Watermark rather than re-sweeping the collection.
-
 // Apply runs a named migration exactly once, durably. It is the
 // crash-safe sibling of VerifyAndExecute: the journal entry is written
 // before the first command executes and advanced after each command, and
@@ -22,11 +17,17 @@ import (
 // exceeds what the data reflects — and the next Apply of the same script
 // verifies it again and resumes at the first unapplied command.
 //
+// With opts.Online the AddField sweeps run batched and watermarked (see
+// online.go), and a crash resumes mid-command at entry.Watermark rather
+// than re-sweeping the collection. Either way install receives the
+// post-migration schema and the window of the AddFields still to run
+// before any data changes, rebuilt from the journal on a resumed run.
+//
 // The returned schema is the state after this script. When the script was
 // already fully applied (applied=false), the schema effects are recomputed
 // structurally so sequential replay of a migration history over a
-// recovered database converges to the same schema.
-func Apply(db *store.DB, before *schema.Schema, name, src string, opts Options) (after *schema.Schema, applied bool, err error) {
+// recovered database converges to the same schema; install is not called.
+func Apply(db *store.DB, before *schema.Schema, name, src string, opts Options, install Install) (after *schema.Schema, applied bool, err error) {
 	journal := NewJournal(db)
 	journal.Clock = opts.Clock
 
@@ -68,30 +69,21 @@ func Apply(db *store.DB, before *schema.Schema, name, src string, opts Options) 
 	if start > len(script.Commands) {
 		return nil, false, fmt.Errorf("migrate: journal claims %d applied commands, script has %d", start, len(script.Commands))
 	}
+	if opts.OnPlanned != nil {
+		if err := opts.OnPlanned(plan.After); err != nil {
+			return nil, false, err
+		}
+	}
 	// The entry's AppliedAt (not the current clock) anchors now(): Begin
 	// preserves it across a crash, so a resumed run evaluates now() in the
 	// remaining commands to the same instant the original run used and the
 	// recovered state converges byte-identically.
-	onApplied := func(idx int) error {
-		return journal.Progress(id, idx+1)
-	}
-	if opts.Online {
-		// The window opens before any command executes: OnPlanned flips the
-		// live schema (and fences `$spec`) to the post-migration spec, so
-		// every read during the drain — local or follower — is judged
-		// against the spec the data is converging to, and writes land on
-		// the post-migration shape from the first batch on.
-		if opts.OnPlanned != nil {
-			if err := opts.OnPlanned(plan.After); err != nil {
-				return nil, false, err
-			}
+	err = execute(plan, db, start, entry.Watermark, entry.AppliedAt, opts, install, func(applied int, watermark store.ID) error {
+		if watermark == store.Nil {
+			return journal.Progress(id, applied)
 		}
-		err = ExecuteOnlineFromAt(plan, db, start, entry.Watermark, entry.AppliedAt, opts, onApplied, func(idx int, watermark store.ID) error {
-			return journal.ProgressBackfill(id, watermark)
-		})
-	} else {
-		err = ExecuteFromAt(plan, db, start, entry.AppliedAt, onApplied)
-	}
+		return journal.ProgressBackfill(id, watermark)
+	})
 	if err != nil {
 		return nil, false, err
 	}

@@ -50,7 +50,7 @@ func TestApplyJournalClock(t *testing.T) {
 	db := store.Open()
 	seedChitter(t, db)
 
-	if _, applied, err := Apply(db, s, "001_bio", applyScript, applyOpts()); err != nil || !applied {
+	if _, applied, err := Apply(db, s, "001_bio", applyScript, applyOpts(), nil); err != nil || !applied {
 		t.Fatalf("apply: applied=%v err=%v", applied, err)
 	}
 	entry, ok := NewJournal(db).Lookup("001_bio")
@@ -76,7 +76,7 @@ func TestApplyResumesPartial(t *testing.T) {
 	// Reference: uninterrupted apply.
 	ref := store.Open()
 	seedChitter(t, ref)
-	refAfter, _, err := Apply(ref, s, "001_bio", applyScript, opts)
+	refAfter, _, err := Apply(ref, s, "001_bio", applyScript, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,23 +100,23 @@ func TestApplyResumesPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	crash := errors.New("simulated crash")
-	err = ExecuteFrom(plan, db, 0, func(idx int) error {
-		if err := journal.Progress(id, idx+1); err != nil {
+	err = execute(plan, db, 0, store.Nil, fixedClock().Unix(), opts, nil, func(applied int, _ store.ID) error {
+		if err := journal.Progress(id, applied); err != nil {
 			return err
 		}
-		if idx == 0 {
+		if applied == 1 {
 			return crash
 		}
 		return nil
 	})
 	if !errors.Is(err, crash) {
-		t.Fatalf("ExecuteFrom err = %v, want simulated crash", err)
+		t.Fatalf("execute err = %v, want simulated crash", err)
 	}
 	if got := journal.Check("001_bio", applyScript); got != StatusPartial {
 		t.Fatalf("status after crash = %v, want partial", got)
 	}
 
-	after, applied, err := Apply(db, s, "001_bio", applyScript, opts)
+	after, applied, err := Apply(db, s, "001_bio", applyScript, opts, nil)
 	if err != nil || !applied {
 		t.Fatalf("resume: applied=%v err=%v", applied, err)
 	}
@@ -151,7 +151,7 @@ User::AddField(joined : DateTime {
 	// Reference: uninterrupted apply under the original clock.
 	ref := store.Open()
 	seedChitter(t, ref)
-	if _, _, err := Apply(ref, s, "001_join", script, opts); err != nil {
+	if _, _, err := Apply(ref, s, "001_join", script, opts, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := snapBytes(t, ref)
@@ -175,14 +175,14 @@ User::AddField(joined : DateTime {
 		t.Fatal(err)
 	}
 	crash := errors.New("simulated crash")
-	err = ExecuteFromAt(plan, db, 0, fixedClock().Unix(), func(idx int) error {
-		if err := journal.Progress(id, idx+1); err != nil {
+	err = execute(plan, db, 0, store.Nil, fixedClock().Unix(), opts, nil, func(applied int, _ store.ID) error {
+		if err := journal.Progress(id, applied); err != nil {
 			return err
 		}
 		return crash
 	})
 	if !errors.Is(err, crash) {
-		t.Fatalf("ExecuteFromAt err = %v, want simulated crash", err)
+		t.Fatalf("execute err = %v, want simulated crash", err)
 	}
 
 	// Resume in a "new process" whose wall clock moved a day ahead. Before
@@ -190,7 +190,7 @@ User::AddField(joined : DateTime {
 	// the real wall clock) and the resumed state diverged.
 	resumed := opts
 	resumed.Clock = func() time.Time { return fixedClock().Add(24 * time.Hour) }
-	if _, applied, err := Apply(db, s, "001_join", script, resumed); err != nil || !applied {
+	if _, applied, err := Apply(db, s, "001_join", script, resumed, nil); err != nil || !applied {
 		t.Fatalf("resume: applied=%v err=%v", applied, err)
 	}
 
@@ -243,7 +243,7 @@ func TestApplyCrashMidScriptConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, applied, err := Apply(db, s, "001_bio", applyScript, opts); err != nil || !applied {
+	if _, applied, err := Apply(db, s, "001_bio", applyScript, opts, nil); err != nil || !applied {
 		t.Fatalf("full apply: applied=%v err=%v", applied, err)
 	}
 	want := snapBytes(t, db)
@@ -281,7 +281,7 @@ func TestApplyCrashMidScriptConverges(t *testing.T) {
 				}
 			}
 		}
-		if _, _, err := Apply(db, s, "001_bio", applyScript, opts); err != nil {
+		if _, _, err := Apply(db, s, "001_bio", applyScript, opts, nil); err != nil {
 			t.Fatalf("off %d: re-apply: %v", off, err)
 		}
 		if got := snapBytes(t, db); !bytes.Equal(got, want) {

@@ -22,23 +22,23 @@ const equivNowUnix int64 = 1_000_000_000
 // between the scripts, independent of whether either passes the sidecar),
 // then handed to the equivalence engine as an executable side.
 func VerifyEquivalent(before *schema.Schema, aName string, a *ast.MigrationScript, bName string, b *ast.MigrationScript, opts equivcheck.Options) (*equivcheck.Report, error) {
-	sideA, err := scriptSide(before, aName, a)
+	sideA, err := scriptSide(before, aName, a, Options{})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", aName, err)
 	}
-	sideB, err := scriptSide(before, bName, b)
+	sideB, err := scriptSide(before, bName, b, Options{})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", bName, err)
 	}
 	return equivcheck.Check(before, sideA, sideB, opts)
 }
 
-// VerifyOnlineEquivalent proves the online execution plan of a script
-// (batched backfill with a live id watermark) equivalent to its
-// stop-the-world execution, at plan level: both plans run over every
-// bounded universe and must land in canonically equal stores. This
-// complements the byte-equality tests of the online engine with a proof
-// that covers all small stores, not just the fuzzed ones.
+// VerifyOnlineEquivalent proves a script's online execution (bounded
+// batches with a live id watermark) equivalent to its stop-the-world
+// execution (one unbounded batch): the one executor runs at both batch
+// sizes over every bounded universe and must land in canonically equal
+// stores. This complements the byte-equality tests of the online engine
+// with a proof that covers all small stores, not just the fuzzed ones.
 func VerifyOnlineEquivalent(before *schema.Schema, name string, script *ast.MigrationScript, batchSize int, opts equivcheck.Options) (*equivcheck.Report, error) {
 	if opts.Kind == "" {
 		opts.Kind = "equiv-online"
@@ -46,27 +46,21 @@ func VerifyOnlineEquivalent(before *schema.Schema, name string, script *ast.Migr
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	stw, err := scriptSide(before, name+" (stop-the-world)", script)
+	stw, err := scriptSide(before, name+" (stop-the-world)", script, Options{})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	online, err := scriptSide(before, name+" (online)", script)
+	online, err := scriptSide(before, name+" (online)", script, Options{Online: true, BatchSize: batchSize})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	online.ID += fmt.Sprintf("\x00online(batch=%d)", batchSize)
-	onlinePlan, err := Verify(before, script, Options{SkipVerification: true})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	online.Exec = func(db *store.DB) error {
-		return ExecuteOnlineFromAt(onlinePlan, db, 0, 0, equivNowUnix, Options{BatchSize: batchSize}, nil, nil)
-	}
 	return equivcheck.Check(before, stw, online, opts)
 }
 
-// scriptSide plans a script and packages it as an equivalence-check side.
-func scriptSide(before *schema.Schema, name string, script *ast.MigrationScript) (equivcheck.Side, error) {
+// scriptSide plans a script and packages it as an equivalence-check side
+// that executes it with exec's batching.
+func scriptSide(before *schema.Schema, name string, script *ast.MigrationScript, exec Options) (equivcheck.Side, error) {
 	plan, err := Verify(before, script, Options{SkipVerification: true})
 	if err != nil {
 		return equivcheck.Side{}, err
@@ -78,7 +72,7 @@ func scriptSide(before *schema.Schema, name string, script *ast.MigrationScript)
 		Inits:   scriptInits(script),
 		Mutated: mutatedModels(script),
 		Exec: func(db *store.DB) error {
-			return ExecuteFromAt(plan, db, 0, equivNowUnix, nil)
+			return execute(plan, db, 0, store.Nil, equivNowUnix, exec, nil, nil)
 		},
 	}
 	return side, nil

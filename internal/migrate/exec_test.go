@@ -42,7 +42,7 @@ User::AddField(bio : String {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := VerifyAndExecute(s, script, db, DefaultOptions())
+	after, err := VerifyAndExecute(s, script, db, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ User::UpdateFieldPolicy(email, {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := VerifyAndExecute(s, script, db, DefaultOptions())
+	after, err := VerifyAndExecute(s, script, db, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestExecuteRemoveField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := VerifyAndExecute(s, script, db, DefaultOptions())
+	after, err := VerifyAndExecute(s, script, db, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ CreateModel(Peep {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := VerifyAndExecute(s, script, db, DefaultOptions())
+	after, err := VerifyAndExecute(s, script, db, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ CreateModel(Peep {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyAndExecute(after, script2, db, DefaultOptions()); err != nil {
+	if _, err := VerifyAndExecute(after, script2, db, DefaultOptions(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if db.Collection("Peep").Len() != 0 {
@@ -159,7 +159,7 @@ User::AddField(blocked : Set(Id(User)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyAndExecute(s, script, db, DefaultOptions()); err != nil {
+	if _, err := VerifyAndExecute(s, script, db, DefaultOptions(), nil); err != nil {
 		t.Fatal(err)
 	}
 	doc, _ := db.Collection("User").Get(alice)
@@ -182,7 +182,7 @@ User::AddField(nickname : Option(String) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyAndExecute(s, script, db, DefaultOptions()); err != nil {
+	if _, err := VerifyAndExecute(s, script, db, DefaultOptions(), nil); err != nil {
 		t.Fatal(err)
 	}
 	doc, _ := db.Collection("User").Get(alice)

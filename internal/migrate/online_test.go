@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"scooter/internal/eval"
+	"scooter/internal/schema"
 	"scooter/internal/store"
 	"scooter/internal/store/wal"
 )
@@ -37,7 +39,7 @@ func TestOnlineApplyMatchesStopTheWorld(t *testing.T) {
 
 	ref := store.Open()
 	seedMany(t, ref, 10)
-	if _, applied, err := Apply(ref, s, "001_bio", applyScript, applyOpts()); err != nil || !applied {
+	if _, applied, err := Apply(ref, s, "001_bio", applyScript, applyOpts(), nil); err != nil || !applied {
 		t.Fatalf("stop-the-world apply: applied=%v err=%v", applied, err)
 	}
 	want := snapBytes(t, ref)
@@ -47,35 +49,35 @@ func TestOnlineApplyMatchesStopTheWorld(t *testing.T) {
 	opts := applyOpts()
 	opts.Online = true
 	opts.BatchSize = 3
-	var begins, ends []string
+	var windows []string
 	var watermarks []store.ID
 	lastRemaining := -1
-	opts.LazyBegin = func(model, field string, compute func(store.Doc) (store.Value, error)) error {
-		begins = append(begins, model+"."+field)
-		// compute derives the initialiser's value from an unmigrated doc.
-		doc, _ := db.Collection("User").Get(store.ID(2))
-		probe := store.Doc{}
-		for k, v := range doc {
-			if k != field {
-				probe[k] = v
-			}
+	install := func(after *schema.Schema, window eval.Window) error {
+		windows = append(windows, pendingFields(window))
+		if len(windows) > 1 {
+			return nil
 		}
-		v, err := compute(probe)
+		// The first window derives both fields of an unswept document, the
+		// second from the document as augmented by the first.
+		doc, _ := db.Collection("User").Get(store.ID(2))
+		got, derived, err := window.Augment("User", doc)
 		if err != nil {
 			return err
 		}
-		if field == "bio" && v != "I'm u000" {
-			t.Errorf("lazy compute for bio = %v, want %q", v, "I'm u000")
+		if !derived || got["bio"] != "I'm u000" || got["karma"] != int64(1) {
+			t.Errorf("first window derives bio=%v karma=%v (derived=%v), want %q and 1", got["bio"], got["karma"], derived, "I'm u000")
+		}
+		if _, has := doc["bio"]; has {
+			t.Error("augmenting modified the stored document")
 		}
 		return nil
 	}
-	opts.LazyEnd = func(model, field string) { ends = append(ends, model+"."+field) }
 	opts.OnBatch = func(model, field string, watermark store.ID, remaining int) error {
 		watermarks = append(watermarks, watermark)
 		lastRemaining = remaining
 		return nil
 	}
-	after, applied, err := Apply(db, s, "001_bio", applyScript, opts)
+	after, applied, err := Apply(db, s, "001_bio", applyScript, opts, install)
 	if err != nil || !applied {
 		t.Fatalf("online apply: applied=%v err=%v", applied, err)
 	}
@@ -86,10 +88,11 @@ func TestOnlineApplyMatchesStopTheWorld(t *testing.T) {
 		t.Fatalf("online result differs from stop-the-world:\n%s\n---\n%s", got, want)
 	}
 
-	// Both AddFields opened and closed a window, in order.
-	wantWindows := []string{"User.bio", "User.karma"}
-	if fmt.Sprint(begins) != fmt.Sprint(wantWindows) || fmt.Sprint(ends) != fmt.Sprint(wantWindows) {
-		t.Fatalf("windows: begins=%v ends=%v", begins, ends)
+	// Both fields are pending from the flip, and each leaves the window
+	// when its own sweep ends.
+	wantWindows := []string{"[User.bio User.karma]", "[User.karma]", "[]"}
+	if fmt.Sprint(windows) != fmt.Sprint(wantWindows) {
+		t.Fatalf("installed windows %v, want %v", windows, wantWindows)
 	}
 	// 10 docs / batch 3 = 4 batches per command, watermarks increasing
 	// within each command and resetting between commands.
@@ -110,12 +113,24 @@ func TestOnlineApplyMatchesStopTheWorld(t *testing.T) {
 	}
 }
 
+// pendingFields renders a window as its model.field list, in order.
+func pendingFields(window eval.Window) string {
+	names := make([]string, len(window))
+	for i, d := range window {
+		names[i] = d.Model + "." + d.Field
+	}
+	return fmt.Sprint(names)
+}
+
 // TestOnlineApplyCrashMidBackfillConverges is the online sibling of
 // TestApplyCrashMidScriptConverges: the log is torn at every byte the
 // online apply phase wrote — which includes every batch boundary — and
 // after recovery the journal's backfill watermark must never claim a
 // document the data does not reflect, and a resumed online Apply must
-// converge to the exact bytes of an uninterrupted run.
+// converge to the exact bytes of an uninterrupted run. The resumed run's
+// window is rebuilt from the journal: every AddField from entry.Applied on
+// is pending (both, after a crash inside the first sweep), and reading any
+// document through it already gives the uninterrupted run's values.
 func TestOnlineApplyCrashMidBackfillConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep is slow; run without -short")
@@ -150,10 +165,14 @@ func TestOnlineApplyCrashMidBackfillConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, applied, err := Apply(db, s, "001_bio", applyScript, opts); err != nil || !applied {
+	if _, applied, err := Apply(db, s, "001_bio", applyScript, opts, nil); err != nil || !applied {
 		t.Fatalf("full online apply: applied=%v err=%v", applied, err)
 	}
 	want := snapBytes(t, db)
+	final := map[store.ID]store.Doc{}
+	for _, doc := range db.Collection("User").Find() {
+		final[doc.ID()] = doc
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +181,7 @@ func TestOnlineApplyCrashMidBackfillConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	midFirstSweep := 0
 	for off := len(baseLog); off <= len(fullLog); off++ {
 		trial := t.TempDir()
 		if err := os.CopyFS(trial, os.DirFS(full)); err != nil {
@@ -177,21 +197,51 @@ func TestOnlineApplyCrashMidBackfillConverges(t *testing.T) {
 		// Invariant: the recovered watermark never claims unswept documents.
 		// The command at index entry.Applied is the one mid-backfill; for
 		// this script command 0 populates bio, command 1 karma.
-		if entry, ok := NewJournal(db).Lookup("001_bio"); ok && entry.Watermark > 0 {
-			field := "bio"
-			if entry.Applied >= 1 {
-				field = "karma"
+		applied := 0
+		if entry, ok := NewJournal(db).Lookup("001_bio"); ok {
+			applied = entry.Applied
+			if entry.Applied == 0 && entry.Watermark > 0 {
+				midFirstSweep++
 			}
-			for _, doc := range db.Collection("User").Find() {
-				if doc.ID() <= entry.Watermark {
-					if _, has := doc[field]; !has {
-						t.Fatalf("off %d: watermark %d claims doc %d but %s is missing",
-							off, entry.Watermark, doc.ID(), field)
+			if entry.Watermark > 0 {
+				field := "bio"
+				if entry.Applied >= 1 {
+					field = "karma"
+				}
+				for _, doc := range db.Collection("User").Find() {
+					if doc.ID() <= entry.Watermark {
+						if _, has := doc[field]; !has {
+							t.Fatalf("off %d: watermark %d claims doc %d but %s is missing",
+								off, entry.Watermark, doc.ID(), field)
+						}
 					}
 				}
 			}
 		}
-		if _, _, err := Apply(db, s, "001_bio", applyScript, opts); err != nil {
+		installs := 0
+		install := func(after *schema.Schema, window eval.Window) error {
+			if installs++; installs > 1 {
+				return nil
+			}
+			wantPending := []string{"[User.bio User.karma]", "[User.karma]", "[]"}[applied]
+			if got := pendingFields(window); got != wantPending {
+				t.Errorf("off %d: resumed at command %d with window %s, want %s", off, applied, got, wantPending)
+			}
+			for _, doc := range db.Collection("User").Find() {
+				got, _, err := window.Augment("User", doc)
+				if err != nil {
+					return err
+				}
+				for _, f := range []string{"bio", "karma"} {
+					if got[f] != final[doc.ID()][f] {
+						t.Errorf("off %d: doc %d reads %s=%v through the resumed window, uninterrupted run has %v",
+							off, doc.ID(), f, got[f], final[doc.ID()][f])
+					}
+				}
+			}
+			return nil
+		}
+		if _, _, err := Apply(db, s, "001_bio", applyScript, opts, install); err != nil {
 			t.Fatalf("off %d: online re-apply: %v", off, err)
 		}
 		if got := snapBytes(t, db); !bytes.Equal(got, want) {
@@ -200,6 +250,9 @@ func TestOnlineApplyCrashMidBackfillConverges(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatalf("off %d: close: %v", off, err)
 		}
+	}
+	if midFirstSweep == 0 {
+		t.Fatal("no tear point fell inside the first field's sweep")
 	}
 }
 
@@ -246,7 +299,7 @@ func TestJournalBeginRevalidates(t *testing.T) {
 	// Apply surfaces the refusal instead of executing anything.
 	s := loadSchema(t, chitterBase)
 	seedChitter(t, db)
-	if _, _, err := Apply(db, s, "001_bio", applyScript, applyOpts()); !errors.As(err, &corrupt) {
+	if _, _, err := Apply(db, s, "001_bio", applyScript, applyOpts(), nil); !errors.As(err, &corrupt) {
 		t.Fatalf("Apply over corrupt journal: %v", err)
 	}
 }
@@ -309,7 +362,7 @@ func TestOnlineBackfillAwaitsOncePerBatch(t *testing.T) {
 	opts := applyOpts()
 	opts.Online = true
 	opts.BatchSize = batch
-	if _, applied, err := Apply(db, s, "001_bio", applyScript, opts); err != nil || !applied {
+	if _, applied, err := Apply(db, s, "001_bio", applyScript, opts, nil); err != nil || !applied {
 		t.Fatalf("online apply: applied=%v err=%v", applied, err)
 	}
 	if userUpdates != 2*docs {

@@ -51,7 +51,7 @@ func TestCompileCoversChitterFragment(t *testing.T) {
 
 // TestForCachesPerSchema is the spec-swap satellite: repeated For calls on
 // the same schema pointer must return the same table, so connection
-// rebinds (SetSchema, replication appliers) never recompile.
+// rebinds (Install, replication appliers) never recompile.
 func TestForCachesPerSchema(t *testing.T) {
 	s, err := loadSpec(chitterSpec)
 	if err != nil {

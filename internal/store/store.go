@@ -790,10 +790,5 @@ func toFloat(v Value) (float64, bool) {
 	return 0, false
 }
 
-// Match reports whether a single document satisfies the filter; exported
-// for the policy evaluator, which checks principals' own documents against
-// Find criteria without scanning collections.
-func Match(d Doc, f Filter) bool { return match(d, f) }
-
 // MatchAll reports whether the document satisfies every filter.
 func MatchAll(d Doc, filters []Filter) bool { return matchAll(d, filters) }
